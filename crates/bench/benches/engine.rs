@@ -212,22 +212,6 @@ fn bench_engine(c: &mut Criterion) {
     journal_server.shutdown();
     let _ = std::fs::remove_dir_all(&journal_root);
 
-    // The wire/at-rest codec alone, over a real encoded DRI record:
-    // what each push body / journal frame / stored record pays.
-    group.throughput(Throughput::Bytes(record.len() as u64));
-    group.bench_function("codec/compress/dri_record", |b| {
-        b.iter(|| black_box(dri_store::compress::compress(black_box(&record))))
-    });
-    let packed = dri_store::compress::compress(&record);
-    group.bench_function("codec/decompress/dri_record", |b| {
-        b.iter(|| {
-            black_box(dri_store::compress::decompress(
-                black_box(&packed),
-                record.len(),
-            ))
-        })
-    });
-
     let _ = std::fs::remove_dir_all(&root);
     group.finish();
 }

@@ -2,13 +2,12 @@
 //!
 //! Sweeps client connection counts against an in-process fleet and
 //! reports sustained throughput (records/s), for every cell of
-//! {fetch, push} × {event-loop, thread-pool front-end} × {1 shard,
-//! 3 shards}. Each measured op is a full HTTP request on a fresh
-//! loopback connection — exactly the connection churn a worker fleet
-//! generates.
+//! {fetch, push} × {1 shard, 3 shards}. Each measured op is a full HTTP
+//! request on a fresh loopback connection — exactly the connection
+//! churn a worker fleet generates.
 //!
 //! The two op kinds saturate different resources. Warm fetches are
-//! CPU-bound and show how each front-end holds up as connections
+//! CPU-bound and show how the front end holds up as connections
 //! multiply. Journaled pushes are bound by the group-commit window —
 //! a per-*server* latency floor every PUT pays to share its fsync — so
 //! their aggregate throughput scales with the number of shards even on
@@ -30,7 +29,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dri_serve::{JournalConfig, Server, ShardedStore, DEFAULT_LEASE_TTL_MS, EVENT_LOOP_ENV};
+use dri_serve::{JournalConfig, Server, ShardedStore, DEFAULT_LEASE_TTL_MS};
 use dri_store::{frame_record, ResultStore};
 
 const KIND: &str = "dri";
@@ -46,9 +45,9 @@ usage: saturation [--records N] [--ops N] [--push-ops N]
                   [--connections LIST] [--out FILE]
 
 Measures fleet throughput (records/s) per client connection count, for
-each op kind (warm fetch, journaled push), front-end (epoll event loop
-vs thread pool) and fleet size (1 vs 3 shards). Servers run in-process
-on ephemeral ports over temp stores; nothing external is touched.
+each op kind (warm fetch, journaled push) and fleet size (1 vs 3
+shards). Servers run in-process on ephemeral ports over temp stores;
+nothing external is touched.
 
 options:
   --records N         distinct warm records to seed per fleet (default 64)
@@ -114,7 +113,6 @@ fn positive(raw: impl AsRef<str>) -> Result<usize, String> {
 /// One measured cell of the sweep.
 struct Cell {
     op: &'static str,
-    front_end: &'static str,
     shards: usize,
     connections: usize,
     records: usize,
@@ -130,13 +128,13 @@ struct Fleet {
 }
 
 impl Fleet {
-    fn start(shards: usize, tag: &str) -> std::io::Result<Fleet> {
+    fn start(shards: usize) -> std::io::Result<Fleet> {
         let mut servers = Vec::new();
         let mut roots = Vec::new();
         let mut addrs = Vec::new();
         for shard in 0..shards {
             let root = std::env::temp_dir().join(format!(
-                "dri-saturation-{tag}-{shard}-{}",
+                "dri-saturation-{shards}-{shard}-{}",
                 std::process::id()
             ));
             let _ = fs::remove_dir_all(&root);
@@ -249,23 +247,21 @@ fn render(cells: &[Cell]) -> String {
     }
     out.push_str(
         "  \"note\": \"single-record ops over fresh loopback connections; each cell is \
-         op x front-end x fleet-size x client-connections. fetch is warm and CPU-bound; \
+         op x fleet-size x client-connections. fetch is warm and CPU-bound; \
          push is group-commit-journal bound (per-server commit window), the axis where \
          shard count multiplies throughput\",\n",
     );
     out.push_str("  \"results\": [\n");
     for (idx, cell) in cells.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\n      \"name\": \"saturation/{}/{}/{}shard/{}conn\",\n      \
+            "    {{\n      \"name\": \"saturation/{}/{}shard/{}conn\",\n      \
              \"op\": \"{}\",\n      \
-             \"front_end\": \"{}\",\n      \"shards\": {},\n      \"connections\": {},\n      \
+             \"shards\": {},\n      \"connections\": {},\n      \
              \"records\": {},\n      \"elapsed_ns\": {},\n      \"records_per_s\": {:.1}\n    }}{}\n",
             cell.op,
-            cell.front_end,
             cell.shards,
             cell.connections,
             cell.op,
-            cell.front_end,
             cell.shards,
             cell.connections,
             cell.records,
@@ -294,86 +290,75 @@ fn main() -> ExitCode {
 
     let key_grid = keys(args.records);
     let mut cells = Vec::new();
-    for front_end in ["event-loop", "thread-pool"] {
-        // The front-end is latched per server at bind time from the
-        // environment; no servers are running while this flips.
-        std::env::set_var(
-            EVENT_LOOP_ENV,
-            if front_end == "event-loop" { "1" } else { "0" },
-        );
-        for shards in [1usize, 3] {
-            let fleet = match Fleet::start(shards, front_end) {
-                Ok(fleet) => fleet,
-                Err(err) => {
-                    eprintln!("error: cannot start {shards}-shard fleet: {err}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let client = ShardedStore::new(fleet.addrs.clone(), 1, Some(TOKEN.to_owned()))
-                .expect("seed client");
-            if let Err(msg) = seed(&client, &key_grid) {
-                eprintln!("error: {msg}");
-                fleet.stop();
+    for shards in [1usize, 3] {
+        let fleet = match Fleet::start(shards) {
+            Ok(fleet) => fleet,
+            Err(err) => {
+                eprintln!("error: cannot start {shards}-shard fleet: {err}");
                 return ExitCode::FAILURE;
             }
-            for &connections in &args.connections {
-                // Warm reads: CPU-bound, isolates the front-end.
-                let keys = &key_grid;
-                let (elapsed_ns, records_per_s) =
-                    measure(&fleet.addrs, connections, args.ops, |client, index| {
-                        let key = keys[index % keys.len()];
-                        assert!(
-                            client.fetch(KIND, SCHEMA, key).is_some(),
-                            "warm fetch of {key:x} missed"
-                        );
-                    });
-                eprintln!(
-                    "saturation: fetch {front_end:>11} {shards} shard(s) {connections:>2} conn: \
-                     {records_per_s:>9.1} records/s ({} ops)",
-                    args.ops
-                );
-                cells.push(Cell {
-                    op: "fetch",
-                    front_end,
-                    shards,
-                    connections,
-                    records: args.ops,
-                    elapsed_ns,
-                    records_per_s,
-                });
-
-                // Journaled writes: commit-window bound per server, so
-                // aggregate throughput scales with the shard count.
-                let salt = (cells.len() as u128) << 96;
-                let (elapsed_ns, records_per_s) =
-                    measure(&fleet.addrs, connections, args.push_ops, |client, index| {
-                        let key = salt | widen(index as u64);
-                        let record = frame_record(SCHEMA, key, &key.to_le_bytes());
-                        assert_eq!(
-                            client.push(KIND, SCHEMA, key, &record),
-                            dri_serve::PushOutcome::Accepted,
-                            "push of {key:x} refused"
-                        );
-                    });
-                eprintln!(
-                    "saturation: push  {front_end:>11} {shards} shard(s) {connections:>2} conn: \
-                     {records_per_s:>9.1} records/s ({} ops)",
-                    args.push_ops
-                );
-                cells.push(Cell {
-                    op: "push",
-                    front_end,
-                    shards,
-                    connections,
-                    records: args.push_ops,
-                    elapsed_ns,
-                    records_per_s,
-                });
-            }
+        };
+        let client =
+            ShardedStore::new(fleet.addrs.clone(), 1, Some(TOKEN.to_owned())).expect("seed client");
+        if let Err(msg) = seed(&client, &key_grid) {
+            eprintln!("error: {msg}");
             fleet.stop();
+            return ExitCode::FAILURE;
         }
+        for &connections in &args.connections {
+            // Warm reads: CPU-bound, isolates the front end.
+            let keys = &key_grid;
+            let (elapsed_ns, records_per_s) =
+                measure(&fleet.addrs, connections, args.ops, |client, index| {
+                    let key = keys[index % keys.len()];
+                    assert!(
+                        client.fetch(KIND, SCHEMA, key).is_some(),
+                        "warm fetch of {key:x} missed"
+                    );
+                });
+            eprintln!(
+                "saturation: fetch {shards} shard(s) {connections:>2} conn: \
+                 {records_per_s:>9.1} records/s ({} ops)",
+                args.ops
+            );
+            cells.push(Cell {
+                op: "fetch",
+                shards,
+                connections,
+                records: args.ops,
+                elapsed_ns,
+                records_per_s,
+            });
+
+            // Journaled writes: commit-window bound per server, so
+            // aggregate throughput scales with the shard count.
+            let salt = (cells.len() as u128) << 96;
+            let (elapsed_ns, records_per_s) =
+                measure(&fleet.addrs, connections, args.push_ops, |client, index| {
+                    let key = salt | widen(index as u64);
+                    let record = frame_record(SCHEMA, key, &key.to_le_bytes());
+                    assert_eq!(
+                        client.push(KIND, SCHEMA, key, &record),
+                        dri_serve::PushOutcome::Accepted,
+                        "push of {key:x} refused"
+                    );
+                });
+            eprintln!(
+                "saturation: push  {shards} shard(s) {connections:>2} conn: \
+                 {records_per_s:>9.1} records/s ({} ops)",
+                args.push_ops
+            );
+            cells.push(Cell {
+                op: "push",
+                shards,
+                connections,
+                records: args.push_ops,
+                elapsed_ns,
+                records_per_s,
+            });
+        }
+        fleet.stop();
     }
-    std::env::remove_var(EVENT_LOOP_ENV);
 
     let rendered = render(&cells);
     if let Some(path) = &args.out {
@@ -388,13 +373,13 @@ fn main() -> ExitCode {
 
     // The trajectory's headline claim, machine-checked here so CI fails
     // the moment sharding stops buying throughput: at the best measured
-    // concurrency, 3 event-loop shards beat 1 on push records/s (the
+    // concurrency, 3 shards beat 1 on push records/s (the
     // commit-window-bound axis — warm fetches are client-CPU-bound on
     // small hosts and may not separate).
     let best = |shards: usize| {
         cells
             .iter()
-            .filter(|c| c.op == "push" && c.front_end == "event-loop" && c.shards == shards)
+            .filter(|c| c.op == "push" && c.shards == shards)
             .map(|c| c.records_per_s)
             .fold(0.0f64, f64::max)
     };

@@ -32,13 +32,12 @@
 //! unit it holds (the steal loop has its own bounded claim-failure
 //! bailout).
 
-use std::borrow::Cow;
 use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use dri_store::{compress, validate_record};
+use dri_store::validate_record;
 use dri_telemetry::{trace, Histogram, Registry, Span, TraceEvent};
 
 use crate::http::read_response;
@@ -46,26 +45,6 @@ use crate::http::read_response;
 /// Environment variable naming the remote result service
 /// (`host:port`, an optional `http://` prefix is accepted).
 pub const REMOTE_ENV: &str = "DRI_REMOTE";
-
-/// Environment variable gating wire compression. **Default on**: push
-/// bodies travel delta-varint compressed (when that actually shrinks
-/// them) under an `X-DRI-Encoding` header, and batch fetches advertise
-/// `X-DRI-Accept-Encoding` so the server may compress its response. Set
-/// to `0` to force the raw protocol (e.g. against a pre-journal server
-/// for byte-identical wire captures). Either way the protocol stays
-/// negotiated: a server that never saw the header answers raw.
-pub const WIRE_COMPRESS_ENV: &str = "DRI_WIRE_COMPRESS";
-
-/// Resolves [`WIRE_COMPRESS_ENV`]: on unless explicitly `0` (or empty).
-fn wire_compress_from_env() -> bool {
-    match std::env::var(WIRE_COMPRESS_ENV) {
-        Ok(raw) => {
-            let raw = raw.trim();
-            !raw.is_empty() && raw != "0"
-        }
-        Err(_) => true,
-    }
-}
 
 /// Transport failures tolerated before the breaker opens.
 pub const MAX_CONSECUTIVE_ERRORS: u32 = 3;
@@ -425,9 +404,6 @@ pub struct RemoteStore {
     consecutive_errors: AtomicU32,
     /// Socket timeouts resolved at construction ([`TIMEOUT_ENV`]).
     timeouts: Timeouts,
-    /// Whether this client negotiates wire compression
-    /// ([`WIRE_COMPRESS_ENV`], on by default).
-    wire_compress: bool,
     /// Monotonic per-attempt salt feeding the backoff jitter.
     attempt_salt: AtomicU64,
     /// Wire round-trip latency per attempt (connect through response),
@@ -471,7 +447,6 @@ impl RemoteStore {
             push_disabled: AtomicBool::new(false),
             consecutive_errors: AtomicU32::new(0),
             timeouts: Timeouts::from_env(),
-            wire_compress: wire_compress_from_env(),
             attempt_salt: AtomicU64::new(0),
             exchange_latency: Registry::global().histogram(
                 "dri_client_exchange_ns",
@@ -1108,13 +1083,6 @@ impl RemoteStore {
 
     /// One `Connection: close` HTTP exchange. Write methods are signed
     /// with the keyed request tag when this client holds a token.
-    ///
-    /// Wire compression (when enabled) happens here, transparently to
-    /// every caller: push bodies that shrink under the delta codec
-    /// travel compressed with an `X-DRI-Encoding` header — and are
-    /// signed *as sent*, so the server verifies before decoding — and
-    /// `/batch` requests advertise `X-DRI-Accept-Encoding`; a compressed
-    /// response is decompressed before being handed back.
     fn request(&self, method: &str, path: &str, body: &[u8]) -> io::Result<(u16, Vec<u8>)> {
         let addr = self.addr.to_socket_addrs()?.next().ok_or_else(|| {
             io::Error::new(io::ErrorKind::NotFound, "address resolved to nothing")
@@ -1122,27 +1090,6 @@ impl RemoteStore {
         let mut stream = TcpStream::connect_timeout(&addr, self.timeouts.connect)?;
         stream.set_read_timeout(Some(self.timeouts.io))?;
         stream.set_write_timeout(Some(self.timeouts.io))?;
-        let is_push = (method == "PUT" && path.starts_with("/record/")) || path == "/batch-put";
-        let mut wire_body = Cow::Borrowed(body);
-        let mut extra = String::new();
-        if self.wire_compress && is_push && !body.is_empty() {
-            let packed = compress::compress(body);
-            if packed.len() < body.len() {
-                wire_body = Cow::Owned(packed);
-                extra.push_str(&format!(
-                    "{}: {}\r\n",
-                    crate::http::ENCODING_HEADER,
-                    compress::WIRE_ENCODING
-                ));
-            }
-        }
-        if self.wire_compress && path == "/batch" {
-            extra.push_str(&format!(
-                "{}: {}\r\n",
-                crate::http::ACCEPT_ENCODING_HEADER,
-                compress::WIRE_ENCODING
-            ));
-        }
         // Sign only requests bound for the write endpoints: reads never
         // need a tag, and hashing a large `/batch` prefetch body (or
         // handing observers tags over known plaintexts) for an endpoint
@@ -1152,37 +1099,22 @@ impl RemoteStore {
         let auth = match &self.token {
             Some(secret) if writes => format!(
                 "X-DRI-Token: {}\r\n",
-                crate::auth::sign_hex(secret, method, path, &wire_body)
+                crate::auth::sign_hex(secret, method, path, body)
             ),
             _ => String::new(),
         };
         let head = format!(
             "{method} {path} HTTP/1.1\r\n\
              Host: {}\r\n\
-             {auth}{extra}Content-Length: {}\r\n\
+             {auth}Content-Length: {}\r\n\
              Connection: close\r\n\r\n",
             self.addr,
-            wire_body.len()
+            body.len()
         );
         stream.write_all(head.as_bytes())?;
-        stream.write_all(&wire_body)?;
+        stream.write_all(body)?;
         stream.flush()?;
-        let (status, body, encoding) = read_response(&mut stream)?;
-        let body = match encoding.as_deref() {
-            None => body,
-            Some(name) if name == compress::WIRE_ENCODING => {
-                compress::decompress(&body, crate::http::MAX_BODY).ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidData, "bad compressed response body")
-                })?
-            }
-            Some(_) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "unsupported response body encoding",
-                ))
-            }
-        };
-        Ok((status, body))
+        read_response(&mut stream)
     }
 }
 

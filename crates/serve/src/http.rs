@@ -11,13 +11,10 @@
 
 use std::io::{self, Read, Write};
 
-/// Header naming the codec applied to the *body of this message* (see
-/// `dri_store::compress::WIRE_ENCODING`). Absent means raw bytes — the
-/// protocol an old peer speaks.
+/// Header naming a codec applied to a request body. Bodies are always
+/// raw bytes, so the server answers any write carrying it with `400`
+/// (older clients sent compressed bodies under it).
 pub const ENCODING_HEADER: &str = "X-DRI-Encoding";
-/// Header a client sends to say it can decode a compressed response; the
-/// server answers raw unless it sees (and honors) this.
-pub const ACCEPT_ENCODING_HEADER: &str = "X-DRI-Accept-Encoding";
 
 /// Upper bound on the request line + headers.
 const MAX_HEAD: usize = 16 * 1024;
@@ -38,13 +35,9 @@ pub struct Request {
     pub token: Option<String>,
     /// The body, sized by `Content-Length` (empty when absent).
     pub body: Vec<u8>,
-    /// The [`ENCODING_HEADER`] value: the codec the *body* arrived in
-    /// (`None` = raw). Authentication tags are computed over the bytes
-    /// as received, so verification happens before decoding.
+    /// The [`ENCODING_HEADER`] value, if the sender named a body codec
+    /// (`None` = raw, the only encoding the server accepts).
     pub encoding: Option<String>,
-    /// The [`ACCEPT_ENCODING_HEADER`] value: the codec the client can
-    /// decode in the response (`None` = raw only).
-    pub accept_encoding: Option<String>,
 }
 
 /// Reads until `\r\n\r\n`, returning `(head, leftover-body-bytes)`.
@@ -98,10 +91,9 @@ fn content_length(head: &str) -> io::Result<usize> {
     }
 }
 
-/// Parses a complete head into a body-less [`Request`] plus the declared
-/// `Content-Length` (validated against [`MAX_BODY`]). Shared by the
-/// blocking reader and the incremental [`RequestParser`].
-fn parse_head(head: &str) -> io::Result<(Request, usize)> {
+/// Reads and parses one request from `stream`.
+pub fn read_request(stream: &mut impl Read) -> io::Result<Request> {
+    let (head, mut body) = read_head(stream)?;
     let request_line = head.lines().next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
     let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
@@ -110,30 +102,13 @@ fn parse_head(head: &str) -> io::Result<(Request, usize)> {
             "malformed request line",
         ));
     };
-    let length = content_length(head)?;
+    let length = content_length(&head)?;
     if length > MAX_BODY {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "request body too large",
         ));
     }
-    Ok((
-        Request {
-            method: method.to_owned(),
-            path: path.to_owned(),
-            token: header(head, crate::auth::TOKEN_HEADER).map(str::to_owned),
-            body: Vec::new(),
-            encoding: header(head, ENCODING_HEADER).map(str::to_owned),
-            accept_encoding: header(head, ACCEPT_ENCODING_HEADER).map(str::to_owned),
-        },
-        length,
-    ))
-}
-
-/// Reads and parses one request from `stream`.
-pub fn read_request(stream: &mut impl Read) -> io::Result<Request> {
-    let (head, mut body) = read_head(stream)?;
-    let (mut request, length) = parse_head(&head)?;
     if body.len() < length {
         let missing = length - body.len();
         let mut rest = vec![0u8; missing];
@@ -141,80 +116,13 @@ pub fn read_request(stream: &mut impl Read) -> io::Result<Request> {
         body.extend_from_slice(&rest);
     }
     body.truncate(length);
-    request.body = body;
-    Ok(request)
-}
-
-/// Incremental request parser for the nonblocking event loop: feed it
-/// whatever bytes the socket had ready and it answers `Ok(Some(_))`
-/// exactly once, when the head and the full `Content-Length` body have
-/// arrived. Enforces the same `MAX_HEAD`/`MAX_BODY` bounds as
-/// [`read_request`], so a hostile peer cannot make a reactor buffer
-/// unboundedly. One-shot, like the connections themselves
-/// (`Connection: close`): after a request is produced, later bytes are
-/// trailing garbage and are ignored.
-#[derive(Debug, Default)]
-pub struct RequestParser {
-    /// Head bytes until the blank line is found; body bytes after.
-    buf: Vec<u8>,
-    /// Parsed head + declared body length, once the blank line arrived.
-    head: Option<(Request, usize)>,
-    /// Resume offset for the `\r\n\r\n` scan (no rescans on slow peers).
-    scanned: usize,
-    done: bool,
-}
-
-impl RequestParser {
-    /// An empty parser awaiting the first bytes.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorbs `bytes`; `Ok(Some(request))` when the request completed,
-    /// `Ok(None)` while more bytes are needed, `Err` on a malformed or
-    /// oversized request (the connection should answer 400 and close).
-    pub fn feed(&mut self, bytes: &[u8]) -> io::Result<Option<Request>> {
-        if self.done {
-            return Ok(None);
-        }
-        self.buf.extend_from_slice(bytes);
-        if self.head.is_none() {
-            // Resume the terminator scan where the last feed stopped,
-            // backing up 3 bytes in case `\r\n\r\n` straddles the seam.
-            let from = self.scanned.saturating_sub(3);
-            match self.buf[from..].windows(4).position(|w| w == b"\r\n\r\n") {
-                Some(at) => {
-                    let end = from + at;
-                    let body = self.buf.split_off(end + 4);
-                    self.buf.truncate(end);
-                    let head = String::from_utf8(std::mem::take(&mut self.buf)).map_err(|_| {
-                        io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 head")
-                    })?;
-                    self.head = Some(parse_head(&head)?);
-                    self.buf = body;
-                }
-                None => {
-                    if self.buf.len() > MAX_HEAD {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "request head too large",
-                        ));
-                    }
-                    self.scanned = self.buf.len();
-                    return Ok(None);
-                }
-            }
-        }
-        let length = self.head.as_ref().map_or(0, |&(_, length)| length);
-        if self.buf.len() < length {
-            return Ok(None);
-        }
-        let (mut request, _) = self.head.take().expect("head present");
-        self.buf.truncate(length);
-        request.body = std::mem::take(&mut self.buf);
-        self.done = true;
-        Ok(Some(request))
-    }
+    Ok(Request {
+        method: method.to_owned(),
+        path: path.to_owned(),
+        token: header(&head, crate::auth::TOKEN_HEADER).map(str::to_owned),
+        body,
+        encoding: header(&head, ENCODING_HEADER).map(str::to_owned),
+    })
 }
 
 /// Writes one complete `Connection: close` response.
@@ -225,74 +133,34 @@ pub fn write_response(
     content_type: &str,
     body: &[u8],
 ) -> io::Result<()> {
-    write_response_encoded(stream, status, reason, content_type, None, body)
-}
-
-/// [`write_response`] with an optional [`ENCODING_HEADER`] announcing
-/// that `body` is compressed (the caller compresses; this only frames).
-pub fn write_response_encoded(
-    stream: &mut impl Write,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    encoding: Option<&str>,
-    body: &[u8],
-) -> io::Result<()> {
-    let mut wire = render_head(status, reason, content_type, encoding, body.len());
+    let mut wire = render_head(status, reason, content_type, body.len());
     wire.extend_from_slice(body);
     stream.write_all(&wire)?;
     stream.flush()
 }
 
 /// Renders the status line + headers of a `Connection: close` response
-/// into bytes, declaring `content_length`. The event loop renders whole
-/// responses into buffers (head + body, or head alone for `HEAD` and
-/// torn-fault replies) and drains them as the socket accepts writes.
-pub fn render_head(
+/// into bytes, declaring `content_length` (for a `HEAD` reply, what the
+/// matching `GET` would have carried, per RFC 9110 §9.3.2).
+pub(crate) fn render_head(
     status: u16,
     reason: &str,
     content_type: &str,
-    encoding: Option<&str>,
     content_length: usize,
 ) -> Vec<u8> {
-    let encoding = match encoding {
-        Some(name) => format!("{ENCODING_HEADER}: {name}\r\n"),
-        None => String::new(),
-    };
     format!(
         "HTTP/1.1 {status} {reason}\r\n\
          Content-Type: {content_type}\r\n\
-         {encoding}Content-Length: {content_length}\r\n\
+         Content-Length: {content_length}\r\n\
          Connection: close\r\n\r\n"
     )
     .into_bytes()
 }
 
-/// Writes the status line and headers of a response whose body is
-/// suppressed (a `HEAD` reply): `Content-Length` advertises what the
-/// matching `GET` would have carried, per RFC 9110 §9.3.2.
-pub fn write_head_response(
-    stream: &mut impl Write,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    content_length: usize,
-) -> io::Result<()> {
-    stream.write_all(&render_head(
-        status,
-        reason,
-        content_type,
-        None,
-        content_length,
-    ))?;
-    stream.flush()
-}
-
-/// Reads one complete response (status code + body + body encoding),
-/// trusting `Connection: close` framing: the body ends at EOF,
-/// cross-checked against `Content-Length` when present. The third
-/// element is the [`ENCODING_HEADER`] value (`None` = raw body).
-pub fn read_response(stream: &mut impl Read) -> io::Result<(u16, Vec<u8>, Option<String>)> {
+/// Reads one complete response (status code + body), trusting
+/// `Connection: close` framing: the body ends at EOF, cross-checked
+/// against `Content-Length` when present.
+pub fn read_response(stream: &mut impl Read) -> io::Result<(u16, Vec<u8>)> {
     let (head, mut body) = read_head(stream)?;
     let status_line = head.lines().next().unwrap_or("");
     let status: u16 = status_line
@@ -310,8 +178,7 @@ pub fn read_response(stream: &mut impl Read) -> io::Result<(u16, Vec<u8>, Option
             "body length does not match Content-Length",
         ));
     }
-    let encoding = header(&head, ENCODING_HEADER).map(str::to_owned);
-    Ok((status, body, encoding))
+    Ok((status, body))
 }
 
 #[cfg(test)]
@@ -351,41 +218,20 @@ mod tests {
     fn response_roundtrip() {
         let mut wire = Vec::new();
         write_response(&mut wire, 200, "OK", "application/octet-stream", b"abc").unwrap();
-        let (status, body, encoding) = read_response(&mut &wire[..]).expect("parse");
+        let (status, body) = read_response(&mut &wire[..]).expect("parse");
         assert_eq!(status, 200);
         assert_eq!(body, b"abc");
-        assert_eq!(encoding, None, "plain responses carry no encoding header");
     }
 
     #[test]
-    fn encoded_response_roundtrips_its_encoding_header() {
-        let mut wire = Vec::new();
-        write_response_encoded(
-            &mut wire,
-            200,
-            "OK",
-            "application/octet-stream",
-            Some("delta64"),
-            b"packed",
-        )
-        .unwrap();
-        let (status, body, encoding) = read_response(&mut &wire[..]).expect("parse");
-        assert_eq!(status, 200);
-        assert_eq!(body, b"packed");
-        assert_eq!(encoding.as_deref(), Some("delta64"));
-    }
-
-    #[test]
-    fn requests_surface_both_encoding_headers() {
+    fn requests_surface_the_encoding_header() {
         let raw = b"POST /batch-put HTTP/1.1\r\nx-dri-encoding: delta64\r\n\
-                    X-DRI-Accept-Encoding: delta64\r\ncontent-length: 2\r\n\r\nok";
+                    content-length: 2\r\n\r\nok";
         let req = read_request(&mut &raw[..]).expect("parse");
         assert_eq!(req.encoding.as_deref(), Some("delta64"));
-        assert_eq!(req.accept_encoding.as_deref(), Some("delta64"));
         let raw = b"GET /stats HTTP/1.1\r\n\r\n";
         let req = read_request(&mut &raw[..]).expect("parse");
         assert_eq!(req.encoding, None);
-        assert_eq!(req.accept_encoding, None);
     }
 
     #[test]
@@ -395,57 +241,16 @@ mod tests {
         assert!(read_request(&mut &b"GET / HTTP/1.1\r\nContent-Length: x\r\n\r\n"[..]).is_err());
         // EOF before the head terminator.
         assert!(read_request(&mut &b"GET / HTTP/1.1\r\n"[..]).is_err());
-    }
-
-    #[test]
-    fn incremental_parser_matches_blocking_reader_byte_by_byte() {
-        let raw: &[u8] =
-            b"POST /batch HTTP/1.1\r\nX-DRI-Token: ab\r\ncontent-length: 5\r\n\r\nhello";
-        let want = read_request(&mut &raw[..]).expect("blocking parse");
-        // Feed one byte at a time: completion fires exactly at the end.
-        let mut parser = RequestParser::new();
-        let mut got = None;
-        for (i, b) in raw.iter().enumerate() {
-            match parser.feed(std::slice::from_ref(b)).expect("feed") {
-                Some(req) => {
-                    assert_eq!(i, raw.len() - 1, "completed early at byte {i}");
-                    got = Some(req);
-                }
-                None => assert!(i < raw.len() - 1, "never completed"),
-            }
-        }
-        assert_eq!(got.expect("request"), want);
-        // And in one gulp, with trailing garbage ignored.
-        let mut parser = RequestParser::new();
-        let mut gulp = raw.to_vec();
-        gulp.extend_from_slice(b"trailing");
-        let req = parser.feed(&gulp).expect("feed").expect("complete");
-        assert_eq!(req, want);
-        assert!(parser.feed(b"more").expect("post-done feed").is_none());
-    }
-
-    #[test]
-    fn incremental_parser_enforces_the_same_bounds() {
-        let mut parser = RequestParser::new();
-        let long = vec![b'a'; MAX_HEAD + 8];
-        assert!(parser.feed(&long).is_err(), "oversized head");
-        let mut parser = RequestParser::new();
-        let huge = format!(
+        // A declared body past MAX_BODY is refused before any of it is read.
+        let oversized = format!(
             "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
             MAX_BODY + 1
         );
-        assert!(parser.feed(huge.as_bytes()).is_err(), "oversized body");
-        let mut parser = RequestParser::new();
-        assert!(parser.feed(b"GET\r\n\r\n").is_err(), "malformed line");
-    }
-
-    #[test]
-    fn render_head_matches_the_writers() {
-        let mut wire = Vec::new();
-        write_response_encoded(&mut wire, 200, "OK", "text/plain", Some("delta64"), b"xyz")
-            .unwrap();
-        let mut rendered = render_head(200, "OK", "text/plain", Some("delta64"), 3);
-        rendered.extend_from_slice(b"xyz");
-        assert_eq!(wire, rendered);
+        let err = read_request(&mut oversized.as_bytes()).unwrap_err();
+        assert_eq!(err.to_string(), "request body too large");
+        // A head past MAX_HEAD with no terminator is refused mid-stream.
+        let endless = vec![b'a'; MAX_HEAD + 4096];
+        let err = read_request(&mut &endless[..]).unwrap_err();
+        assert_eq!(err.to_string(), "request head too large");
     }
 }

@@ -101,19 +101,17 @@
 //!
 //! ## Concurrency
 //!
-//! On Linux the default front-end is a **readiness-based event loop**
-//! (see [`server::EVENT_LOOP_ENV`]): one reactor thread owns a
-//! nonblocking listener and every connection through an epoll set,
-//! parsing requests incrementally as bytes arrive and draining
-//! responses under `EPOLLOUT` backpressure, while a worker pool sized
-//! like `DRI_THREADS` runs the (potentially blocking) routing — journal
-//! fsyncs, lease I/O, injected chaos delays. A slow peer costs a
-//! buffer, never a thread. `DRI_EVENT_LOOP=0` (and every non-Linux
-//! platform) selects the original thread-per-connection pool, whose
-//! accept loop applies backpressure by blocking once all workers are
-//! busy and the small handoff queue is full. Both front-ends share one
-//! routing core, so every endpoint, limit, and fault behaves
-//! identically under either.
+//! One front end on every platform: a blocking accept loop hands each
+//! connection to a worker pool sized like `DRI_THREADS` (see
+//! [`default_workers`]), and applies backpressure by blocking once all
+//! workers are busy and the small handoff queue is full.
+//!
+//! ## Raw bytes on the wire
+//!
+//! Bodies are never compressed. Fetches return the checksummed record
+//! file as-is, and pushes carry the same bytes
+//! ([`dri_store::frame_record`]); a write naming a body codec in the
+//! `X-DRI-Encoding` header is answered `400 unsupported body encoding`.
 //!
 //! ## Sharding across a fleet
 //!
@@ -129,8 +127,6 @@
 
 pub mod auth;
 pub mod client;
-#[cfg(target_os = "linux")]
-mod event_loop;
 pub mod fault;
 pub mod http;
 pub mod server;
@@ -139,12 +135,10 @@ pub mod sharded;
 pub use auth::TOKEN_ENV;
 pub use client::{
     BatchEntry, LeaseClaim, LeaseError, PushOutcome, RemoteStats, RemoteStore, ServerStats,
-    BATCH_CHUNK, REMOTE_ENV, TIMEOUT_ENV, WIRE_COMPRESS_ENV,
+    BATCH_CHUNK, REMOTE_ENV, TIMEOUT_ENV,
 };
 pub use fault::{FaultSpec, FAULT_ENV};
-pub use server::{
-    JournalConfig, ServeStats, Server, DEFAULT_LEASE_TTL_MS, EVENT_LOOP_ENV, LEASE_TTL_ENV,
-};
+pub use server::{JournalConfig, ServeStats, Server, DEFAULT_LEASE_TTL_MS, LEASE_TTL_ENV};
 pub use sharded::{ShardedStore, DEFAULT_REPLICAS, REPLICAS_ENV, SHARDS_ENV};
 
 /// Worker threads for the connection pool: `DRI_THREADS` when set to a

@@ -75,9 +75,6 @@ options:
   --help            this text
 
 environment:
-  DRI_EVENT_LOOP    0 = thread-per-connection front-end instead of the
-                    default epoll event loop (Linux only; other
-                    platforms always use the thread pool)
   DRI_SHARDS        the fleet this server belongs to (addr1,addr2,...),
                     advertised in /stats and /metrics; clients route by
                     consistent-hashing record keys across the same list
@@ -212,14 +209,9 @@ fn main() -> ExitCode {
     // (possibly ephemeral) port; progress/diagnostics stay on stderr.
     println!("dri-serve: listening on http://{}", server.addr());
     eprintln!(
-        "dri-serve: store {root} ({} records, {} bytes), {} front-end, {} workers; {} — Ctrl-C to stop",
+        "dri-serve: store {root} ({} records, {} bytes), {} workers; {} — Ctrl-C to stop",
         usage.records,
         usage.bytes,
-        if dri_serve::server::event_loop_from_env() {
-            "event-loop"
-        } else {
-            "thread-pool"
-        },
         args.workers,
         if writable {
             "accepting authenticated pushes (DRI_TOKEN)"

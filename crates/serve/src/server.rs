@@ -1,22 +1,13 @@
 //! The service proper: connection handling, routing, and the counters
 //! behind `/stats` and `/metrics`.
 //!
-//! Two interchangeable connection front-ends feed the same routing
-//! core (`respond`):
-//!
-//! - **The event loop** (Linux default): a nonblocking epoll reactor
-//!   (`crate::event_loop`) owns every socket, parses requests as
-//!   bytes arrive, dispatches parsed requests to a small worker pool,
-//!   and drains responses under `EPOLLOUT` write backpressure. Worker
-//!   count bounds *routing* concurrency (journal fsyncs, lease I/O),
-//!   not connection count.
-//! - **The thread pool** (`DRI_EVENT_LOOP=0`, and every non-Linux
-//!   host): the original blocking accept loop feeding thread-per-
-//!   connection workers over a bounded handoff channel, sized like the
-//!   simulation fan-out (`DRI_THREADS`, see [`crate::default_workers`]).
-//!   When every worker is busy and the small queue is full, the accept
-//!   loop blocks — clients time out, treat it as a miss, and simulate
-//!   locally rather than pile up.
+//! One connection front end feeds the routing core (`respond`): a
+//! blocking accept loop hands each connection to a pool of workers over
+//! a bounded channel. The pool is sized like the simulation fan-out
+//! (`DRI_THREADS`, see [`crate::default_workers`]). When every worker is
+//! busy and the small queue is full, the accept loop blocks — clients
+//! time out, treat it as a miss, and simulate locally rather than pile
+//! up.
 //!
 //! ## The group-commit write path
 //!
@@ -31,7 +22,6 @@
 //! a background compactor drains sealed segments into ordinary record
 //! files on an interval (plus once at shutdown).
 
-use std::borrow::Cow;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -43,22 +33,15 @@ use std::time::{Duration, Instant};
 use dri_store::gc::DiskUsage;
 use dri_store::lease::{self, ClaimOutcome, LeaseBroker, LeaseRefusal};
 use dri_store::{
-    compress, frame_record, validate_record, Journal, JournalEntry, JournalOptions, JournalStats,
-    ResultStore,
+    frame_record, validate_record, Journal, JournalEntry, JournalOptions, JournalStats, ResultStore,
 };
 use dri_telemetry::{trace, Counter, Gauge, Histogram, Registry, TraceEvent};
 
 use crate::fault::{FaultAction, FaultSpec};
-use crate::http::{read_request, render_head, Request};
+use crate::http::{read_request, render_head, write_response, Request};
 
-/// Per-connection I/O timeout: a stalled peer releases its worker (or,
-/// under the event loop, is reaped by the idle sweep).
-pub(crate) const IO_TIMEOUT: Duration = Duration::from_secs(10);
-/// Environment variable selecting the connection front-end: unset or
-/// truthy = the epoll event loop (Linux only), `0`/`false`/`off` = the
-/// original thread-per-connection pool. Anything else warns once and
-/// keeps the default — the `DRI_THREADS` convention.
-pub const EVENT_LOOP_ENV: &str = "DRI_EVENT_LOOP";
+/// Per-connection I/O timeout: a stalled peer releases its worker.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
 /// Environment variable overriding the lease TTL handed to `--steal`
 /// workers, in milliseconds.
 pub const LEASE_TTL_ENV: &str = "DRI_LEASE_TTL_MS";
@@ -86,33 +69,6 @@ pub fn lease_ttl_from_env() -> u64 {
                 );
             });
             DEFAULT_LEASE_TTL_MS
-        }
-    }
-}
-/// Reads [`EVENT_LOOP_ENV`]: the epoll event loop is the default on
-/// Linux; `0`/`false`/`off` keeps the thread-per-connection pool (the
-/// saturation benchmark compares the two). Other hosts always use the
-/// thread pool. A present-but-unrecognized value warns once and keeps
-/// the platform default.
-pub fn event_loop_from_env() -> bool {
-    if !cfg!(target_os = "linux") {
-        return false;
-    }
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    let Ok(raw) = std::env::var(EVENT_LOOP_ENV) else {
-        return true;
-    };
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "0" | "false" | "off" | "no" => false,
-        "" | "1" | "true" | "on" | "yes" => true,
-        _ => {
-            WARNED.call_once(|| {
-                eprintln!(
-                    "dri-serve: ignoring unrecognized {EVENT_LOOP_ENV}={raw:?} \
-                     (want 1/0); using the event loop"
-                );
-            });
-            true
         }
     }
 }
@@ -144,7 +100,7 @@ pub struct JournalConfig {
     /// How often the background compactor drains sealed segments into
     /// ordinary record files.
     pub compact_interval: Duration,
-    /// Segment rotation / frame compression knobs passed through to
+    /// Segment rotation knob passed through to
     /// [`dri_store::Journal::open`].
     pub options: JournalOptions,
 }
@@ -317,12 +273,12 @@ pub struct ServeStats {
 /// never diverge — one set of counters, two expositions. (Per-server
 /// rather than process-global so parallel test servers stay isolated.)
 #[derive(Debug)]
-pub(crate) struct AtomicServeStats {
+struct AtomicServeStats {
     registry: Registry,
     requests: Counter,
     hits: Counter,
     misses: Counter,
-    pub(crate) bad_requests: Counter,
+    bad_requests: Counter,
     batch_requests: Counter,
     bytes_served: Counter,
     push_round_trips: Counter,
@@ -337,16 +293,6 @@ pub(crate) struct AtomicServeStats {
     faults_injected: Counter,
     /// Wall time from request-parsed to response-built, per request.
     request_latency: Histogram,
-    /// Event-loop counters (all zero under the thread-pool front-end).
-    pub(crate) eventloop_accepted: Counter,
-    pub(crate) eventloop_read_events: Counter,
-    pub(crate) eventloop_write_events: Counter,
-    /// Response writes that hit `WouldBlock` and armed `EPOLLOUT`.
-    pub(crate) eventloop_backpressure: Counter,
-    /// Connections reaped by the idle sweep ([`IO_TIMEOUT`]).
-    pub(crate) eventloop_idle_reaped: Counter,
-    /// Connections currently owned by the reactor.
-    pub(crate) eventloop_open: Gauge,
     /// Fleet membership gauges (from `DRI_SHARDS`/`DRI_REPLICAS` in the
     /// server's environment; zero when it serves outside a fleet).
     ring_shards: Gauge,
@@ -429,30 +375,6 @@ impl Default for AtomicServeStats {
                 "dri_serve_request_latency_ns",
                 "request handling latency, parse to response-built",
             ),
-            eventloop_accepted: registry.counter(
-                "dri_serve_eventloop_accepted_total",
-                "connections accepted by the epoll reactor",
-            ),
-            eventloop_read_events: registry.counter(
-                "dri_serve_eventloop_read_events_total",
-                "EPOLLIN readiness events handled",
-            ),
-            eventloop_write_events: registry.counter(
-                "dri_serve_eventloop_write_events_total",
-                "EPOLLOUT readiness events handled",
-            ),
-            eventloop_backpressure: registry.counter(
-                "dri_serve_eventloop_backpressure_total",
-                "response writes that hit WouldBlock and armed EPOLLOUT",
-            ),
-            eventloop_idle_reaped: registry.counter(
-                "dri_serve_eventloop_idle_reaped_total",
-                "connections closed by the idle sweep",
-            ),
-            eventloop_open: registry.gauge(
-                "dri_serve_eventloop_open_connections",
-                "connections currently owned by the reactor",
-            ),
             ring_shards: registry.gauge(
                 "dri_serve_ring_shards",
                 "fleet size from DRI_SHARDS (0 = not in a fleet)",
@@ -524,9 +446,9 @@ impl AtomicServeStats {
 
 /// State every connection worker shares.
 #[derive(Debug)]
-pub(crate) struct Shared {
+struct Shared {
     store: Arc<ResultStore>,
-    pub(crate) stats: AtomicServeStats,
+    stats: AtomicServeStats,
     /// Shared write-path secret (`DRI_TOKEN`). `None` = the write
     /// endpoints are disabled and the service is strictly read-only,
     /// exactly as it was before the push path existed.
@@ -540,13 +462,10 @@ pub(crate) struct Shared {
     /// TTL granted on every claim and renewal ([`LEASE_TTL_ENV`]).
     lease_ttl_ms: u64,
     /// The chaos layer: `Some` only when `DRI_FAULT` asked for it.
-    pub(crate) faults: Option<FaultSpec>,
+    faults: Option<FaultSpec>,
     /// The group-commit write path: `Some` only on servers bound with a
     /// [`JournalConfig`]; `None` keeps the original save-per-record path.
     journal: Option<JournalTier>,
-    /// Which connection front-end this server runs (`/stats` reports it
-    /// so the saturation benchmark can label its measurements).
-    event_loop: bool,
     /// Fleet membership from the environment: `(shards, replicas)` when
     /// this process serves one shard of a `DRI_SHARDS` fleet.
     ring: Option<(u64, u64)>,
@@ -661,32 +580,12 @@ impl Server {
             lease_ttl_ms: lease_ttl_ms.max(1),
             faults,
             journal: journal_tier,
-            event_loop: event_loop_from_env(),
             ring: crate::sharded::fleet_membership_from_env(),
         });
-        let workers = workers.max(1);
-
-        #[cfg(target_os = "linux")]
-        let accept = if shared.event_loop {
-            crate::event_loop::spawn(
-                listener,
-                Arc::clone(&shared),
-                workers,
-                Arc::clone(&stopping),
-            )?
-        } else {
-            spawn_threaded(
-                listener,
-                Arc::clone(&shared),
-                workers,
-                Arc::clone(&stopping),
-            )
-        };
-        #[cfg(not(target_os = "linux"))]
         let accept = spawn_threaded(
             listener,
             Arc::clone(&shared),
-            workers,
+            workers.max(1),
             Arc::clone(&stopping),
         );
 
@@ -804,9 +703,9 @@ impl Drop for Server {
     }
 }
 
-/// The thread-per-connection front-end: a blocking accept loop feeding
-/// a worker pool over a bounded handoff channel. Returns the accept
-/// thread (which joins the pool when it exits).
+/// The connection front end: a blocking accept loop feeding a worker
+/// pool over a bounded handoff channel. Returns the accept thread
+/// (which joins the pool when it exits).
 fn spawn_threaded(
     listener: TcpListener,
     shared: Arc<Shared>,
@@ -854,10 +753,10 @@ fn worker(receiver: &Mutex<Receiver<TcpStream>>, shared: &Shared) {
 }
 
 /// Advances the chaos layer for one accepted connection, counting and
-/// tracing whatever fires. Both front-ends call this exactly once per
-/// accepted connection, so a fault spec replays identically under
-/// either. Empty (the overwhelmingly common case) without a spec.
-pub(crate) fn connection_fate(shared: &Shared) -> Vec<FaultAction> {
+/// tracing whatever fires. Called exactly once per accepted connection,
+/// so a fault spec replays deterministically. Empty (the overwhelmingly
+/// common case) without a spec.
+fn connection_fate(shared: &Shared) -> Vec<FaultAction> {
     let Some(faults) = &shared.faults else {
         return Vec::new();
     };
@@ -880,25 +779,6 @@ pub(crate) fn connection_fate(shared: &Shared) -> Vec<FaultAction> {
     fired
 }
 
-/// The rendered `400 Bad Request` both front-ends answer on a request
-/// that failed to parse (the parse failure was already counted).
-pub(crate) fn render_bad_request() -> Vec<u8> {
-    let body = b"bad request\n";
-    let mut wire = render_head(400, "Bad Request", "text/plain", None, body.len());
-    wire.extend_from_slice(body);
-    wire
-}
-
-/// The rendered `503` an [`FaultAction::Error503`] connection answers
-/// after draining its request (the failure is the *status*, not a
-/// mid-write hangup), without routing.
-pub(crate) fn render_injected_503() -> Vec<u8> {
-    let body = b"injected fault\n";
-    let mut wire = render_head(503, "Service Unavailable", "text/plain", None, body.len());
-    wire.extend_from_slice(body);
-    wire
-}
-
 fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     let stats = &shared.stats;
     let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
@@ -911,9 +791,17 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             // Close without reading: the peer sees a reset/EOF.
             FaultAction::Drop => return,
             FaultAction::Delay(pause) => std::thread::sleep(pause),
+            // Drain the request, then answer 503 without routing: the
+            // failure is the *status*, not a mid-write hangup.
             FaultAction::Error503 => {
                 let _ = read_request(&mut stream);
-                let _ = stream.write_all(&render_injected_503());
+                let _ = write_response(
+                    &mut stream,
+                    503,
+                    "Service Unavailable",
+                    "text/plain",
+                    b"injected fault\n",
+                );
                 return;
             }
             // Remembered for write time: route normally, then send a
@@ -929,7 +817,13 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
         Ok(request) => request,
         Err(_) => {
             stats.bad_requests.inc();
-            let _ = stream.write_all(&render_bad_request());
+            let _ = write_response(
+                &mut stream,
+                400,
+                "Bad Request",
+                "text/plain",
+                b"bad request\n",
+            );
             return;
         }
     };
@@ -939,11 +833,9 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
 }
 
 /// Routes one parsed request and renders the complete wire response
-/// (head + body) — the front-end-agnostic core. Handles the `HEAD`
-/// suppression, `/batch` wire compression, latency/trace recording,
-/// and the `torn` chaos shape (full-length head, half body). Counters
-/// advance here so both front-ends report identically.
-pub(crate) fn respond(mut request: Request, torn: bool, shared: &Shared) -> Vec<u8> {
+/// (head + body). Handles the `HEAD` suppression, latency/trace
+/// recording, and the `torn` chaos shape (full-length head, half body).
+fn respond(mut request: Request, torn: bool, shared: &Shared) -> Vec<u8> {
     let stats = &shared.stats;
     stats.requests.inc();
     // HEAD is GET with the body suppressed (RFC 9110 §9.3.2): route it
@@ -953,21 +845,7 @@ pub(crate) fn respond(mut request: Request, torn: bool, shared: &Shared) -> Vec<
         request.method = "GET".to_owned();
     }
     let routed_at = Instant::now();
-    let (status, reason, content_type, mut body) = route(&request, shared);
-    // Compress the bulk-fetch response when the client advertised the
-    // codec and it actually pays (the header is only sent when bytes on
-    // the wire are compressed, so old clients are untouched).
-    let mut body_encoding = None;
-    if status == 200
-        && request.path == "/batch"
-        && request.accept_encoding.as_deref() == Some(compress::WIRE_ENCODING)
-    {
-        let packed = compress::compress(&body);
-        if packed.len() < body.len() {
-            body = packed;
-            body_encoding = Some(compress::WIRE_ENCODING);
-        }
-    }
+    let (status, reason, content_type, body) = route(&request, shared);
     let elapsed = routed_at.elapsed();
     stats.request_latency.record_duration(elapsed);
     if trace::enabled() {
@@ -979,19 +857,19 @@ pub(crate) fn respond(mut request: Request, torn: bool, shared: &Shared) -> Vec<
         event.emit();
     }
     if head_only {
-        return render_head(status, reason, content_type, None, body.len());
+        return render_head(status, reason, content_type, body.len());
     }
     if torn {
         // Head declares the full length; only half the body follows. The
         // client's Content-Length cross-check must catch this.
         let half = &body[..body.len() / 2];
         stats.bytes_served.add(half.len() as u64);
-        let mut wire = render_head(status, reason, content_type, None, body.len());
+        let mut wire = render_head(status, reason, content_type, body.len());
         wire.extend_from_slice(half);
         return wire;
     }
     stats.bytes_served.add(body.len() as u64);
-    let mut wire = render_head(status, reason, content_type, body_encoding, body.len());
+    let mut wire = render_head(status, reason, content_type, body.len());
     wire.extend_from_slice(&body);
     wire
 }
@@ -1003,18 +881,12 @@ pub(crate) fn respond(mut request: Request, torn: bool, shared: &Shared) -> Vec<
 /// indexed — then kill the process. The restarted server's recovery
 /// must drop the torn frame whole; the client saw no ack, so nothing
 /// durable was promised.
-pub(crate) fn crash_with_request(request: Option<&Request>, shared: &Shared) -> ! {
-    if let Some(request) = request.filter(|r| r.method == "POST" && r.path == "/batch-put") {
+fn crash_with_request(request: Option<&Request>, shared: &Shared) -> ! {
+    let batch_put =
+        request.filter(|r| r.method == "POST" && r.path == "/batch-put" && r.encoding.is_none());
+    if let Some(request) = batch_put {
         if let Some(tier) = &shared.journal {
-            let body = match request.encoding.as_deref() {
-                Some(name) if name == compress::WIRE_ENCODING => {
-                    compress::decompress(&request.body, crate::http::MAX_BODY)
-                }
-                Some(_) => None,
-                None => Some(request.body.clone()),
-            };
-            let frames = body.as_deref().and_then(parse_push_frames);
-            if let Some(frames) = frames {
+            if let Some(frames) = parse_push_frames(&request.body) {
                 let entries: Vec<JournalEntry> = frames
                     .into_iter()
                     .filter_map(|(kind, schema, key, record)| {
@@ -1113,40 +985,20 @@ fn serve_record(kind: &str, schema: u32, key: u128, shared: &Shared) -> Option<V
     shared.store.load_record_bytes(kind, schema, key)
 }
 
-/// Resolves the wire encoding of a write body: absent means raw (the
-/// old protocol), [`compress::WIRE_ENCODING`] is decompressed under the
-/// same cap the raw body already passed, anything else is a 400. Runs
-/// *after* [`authorize`] — the auth tag covers the bytes as received.
-fn decode_push_body<'a>(
-    request: &'a Request,
-    stats: &AtomicServeStats,
-) -> Result<Cow<'a, [u8]>, Response> {
-    match request.encoding.as_deref() {
-        None => Ok(Cow::Borrowed(&request.body[..])),
-        Some(name) if name == compress::WIRE_ENCODING => {
-            match compress::decompress(&request.body, crate::http::MAX_BODY) {
-                Some(raw) => Ok(Cow::Owned(raw)),
-                None => {
-                    stats.bad_requests.inc();
-                    Err((
-                        400,
-                        "Bad Request",
-                        "text/plain",
-                        b"bad compressed body\n".to_vec(),
-                    ))
-                }
-            }
-        }
-        Some(_) => {
-            stats.bad_requests.inc();
-            Err((
-                400,
-                "Bad Request",
-                "text/plain",
-                b"unsupported body encoding\n".to_vec(),
-            ))
-        }
+/// Write bodies are raw record frames: a request naming any body codec
+/// in [`crate::http::ENCODING_HEADER`] (older clients sent compressed
+/// bodies under it) is a 400. Runs *after* [`authorize`].
+fn reject_encoded_body(request: &Request, stats: &AtomicServeStats) -> Result<(), Response> {
+    if request.encoding.is_none() {
+        return Ok(());
     }
+    stats.bad_requests.inc();
+    Err((
+        400,
+        "Bad Request",
+        "text/plain",
+        b"unsupported body encoding\n".to_vec(),
+    ))
 }
 
 /// Gate for the write endpoints: `Ok` when the request carries a valid
@@ -1201,10 +1053,10 @@ fn put_record(request: &Request, shared: &Shared) -> Response {
             b"bad record path\n".to_vec(),
         );
     };
-    let body = match decode_push_body(request, stats) {
-        Ok(body) => body,
-        Err(rejection) => return rejection,
-    };
+    if let Err(rejection) = reject_encoded_body(request, stats) {
+        return rejection;
+    }
+    let body = &request.body;
     if body.len() > MAX_PUSH_RECORD {
         stats.writes_rejected.inc();
         return (
@@ -1214,7 +1066,7 @@ fn put_record(request: &Request, shared: &Shared) -> Response {
             b"record too large\n".to_vec(),
         );
     }
-    match validate_record(&body, schema, key) {
+    match validate_record(body, schema, key) {
         Some(payload) => {
             if let Some(tier) = &shared.journal {
                 // Group-commit: wait out the window so concurrent PUTs
@@ -1301,11 +1153,10 @@ fn batch_put(request: &Request, shared: &Shared) -> Response {
     if let Err(rejection) = authorize(request, shared) {
         return rejection;
     }
-    let body = match decode_push_body(request, stats) {
-        Ok(body) => body,
-        Err(rejection) => return rejection,
-    };
-    let Some(frames) = parse_push_frames(&body) else {
+    if let Err(rejection) = reject_encoded_body(request, stats) {
+        return rejection;
+    }
+    let Some(frames) = parse_push_frames(&request.body) else {
         stats.bad_requests.inc();
         return (
             400,
@@ -1705,8 +1556,6 @@ fn stats_json(shared: &Shared) -> Vec<u8> {
          \"store\":{{\"hits\":{},\"misses\":{},\"corrupt\":{}}},\
          \"journal\":{{\"enabled\":{},\"depth\":{},\"batches\":{},\
          \"appended\":{},\"fsyncs\":{},\"compactions\":{},\"compacted\":{}}},\
-         \"event_loop\":{{\"enabled\":{},\"accepted\":{},\"read_events\":{},\
-         \"write_events\":{},\"backpressure\":{},\"idle_reaped\":{},\"open\":{}}},\
          \"ring\":{{\"shards\":{},\"replicas\":{}}}}}\n",
         usage.records,
         usage.bytes,
@@ -1738,13 +1587,6 @@ fn stats_json(shared: &Shared) -> Vec<u8> {
         journal.fsyncs,
         journal.compactions,
         journal.compacted,
-        shared.event_loop,
-        shared.stats.eventloop_accepted.get(),
-        shared.stats.eventloop_read_events.get(),
-        shared.stats.eventloop_write_events.get(),
-        shared.stats.eventloop_backpressure.get(),
-        shared.stats.eventloop_idle_reaped.get(),
-        shared.stats.eventloop_open.get(),
         shared.ring.map_or(0, |(shards, _)| shards),
         shared.ring.map_or(0, |(_, replicas)| replicas),
     )

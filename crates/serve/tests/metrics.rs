@@ -206,14 +206,6 @@ fn stats_json_schema_is_the_documented_key_set() {
             "fsyncs",
             "compactions",
             "compacted",
-            "event_loop",
-            "enabled",
-            "accepted",
-            "read_events",
-            "write_events",
-            "backpressure",
-            "idle_reaped",
-            "open",
             "ring",
             "shards",
             "replicas",

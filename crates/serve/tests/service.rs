@@ -465,6 +465,72 @@ fn batch_put_rejects_structural_damage_and_over_cap_wholesale() {
     let _ = fs::remove_dir_all(root);
 }
 
+/// One raw exchange returning the response head and body separately.
+fn raw_exchange(addr: std::net::SocketAddr, request: &[u8]) -> (String, Vec<u8>) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(request).expect("send");
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).expect("receive");
+    let head_end = response
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .expect("complete head");
+    let head = String::from_utf8(response[..head_end].to_vec()).expect("utf-8 head");
+    (head, response[head_end + 4..].to_vec())
+}
+
+#[test]
+fn encoded_bodies_are_refused_and_batches_answer_raw() {
+    let token = "encoding-secret";
+    let (server, store, root) = serve_writable("encoding", token, &[("dri", 1, 5, b"stored")]);
+
+    // A signed, well-formed batch-put that names a body codec → 400, and
+    // nothing lands: bodies are raw record frames only.
+    let record = frame_record(1, 6, b"pushed");
+    let mut body = vec![3u8];
+    body.extend_from_slice(b"dri");
+    body.extend_from_slice(&1u32.to_le_bytes());
+    body.extend_from_slice(&6u128.to_le_bytes());
+    body.extend_from_slice(&(record.len() as u64).to_le_bytes());
+    body.extend_from_slice(&record);
+    let tag = auth::sign_hex(token, "POST", "/batch-put", &body);
+    let mut request = format!(
+        "POST /batch-put HTTP/1.1\r\nHost: t\r\nX-DRI-Token: {tag}\r\n\
+         X-DRI-Encoding: delta64\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    request.extend_from_slice(&body);
+    let (head, response) = raw_exchange(server.addr(), &request);
+    assert!(head.starts_with("HTTP/1.1 400"), "{head}");
+    assert_eq!(response, b"unsupported body encoding\n");
+    assert_eq!(store.load("dri", 1, 6), None, "no record landed");
+    assert_eq!(server.stats().records_accepted, 0);
+
+    // A batch fetch advertising a codec still gets the raw frames, with
+    // no encoding header on the response.
+    let line = format!("dri 1 {:032x}\n", 5u128);
+    let request = format!(
+        "POST /batch HTTP/1.1\r\nHost: t\r\nX-DRI-Accept-Encoding: delta64\r\n\
+         Content-Length: {}\r\n\r\n{line}",
+        line.len()
+    );
+    let (head, frames) = raw_exchange(server.addr(), request.as_bytes());
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert!(
+        !head.to_ascii_lowercase().contains("x-dri-encoding"),
+        "raw response carries no encoding header: {head}"
+    );
+    let on_disk = fs::read(store.entry_path("dri", 1, 5)).expect("stored record");
+    let mut want = vec![1u8];
+    want.extend_from_slice(&(on_disk.len() as u64).to_le_bytes());
+    want.extend_from_slice(&on_disk);
+    assert_eq!(frames, want);
+
+    server.shutdown();
+    let _ = fs::remove_dir_all(root);
+}
+
 #[test]
 fn client_fetches_and_validates() {
     let (server, _store, root) = serve("client", &[("dri", 2, 0xfeed, b"remote payload")]);

@@ -22,26 +22,28 @@
 //! committed batch:
 //!
 //! ```text
-//! [magic "DRIJ"][entry count u32][flags u8][body len u64][body][fnv64]
+//! [magic "DRIJ"][entry count u32][flags u8 = 0][body len u64][body][fnv64]
 //! ```
 //!
 //! with the body a concatenation of
 //! `[kind len u8][kind][schema u32][key u128][payload len u32][payload]`
-//! entries (all little-endian), optionally compressed as a whole with
-//! the [`crate::compress`] codec (flag bit 0 — kept only when it
-//! shrinks the frame). The checksum covers everything before it, so a
-//! torn append — the crash case — invalidates the *entire* batch: a
-//! frame is all-or-nothing, and an unacked batch can never surface a
-//! subset of its records after recovery.
+//! entries (all little-endian). The checksum covers everything before
+//! it, so a torn append — the crash case — invalidates the *entire*
+//! batch: a frame is all-or-nothing, and an unacked batch can never
+//! surface a subset of its records after recovery.
 //!
 //! ## Recovery
 //!
 //! [`Journal::open`] replays every segment in sequence order into an
 //! in-memory index, stopping a segment's scan at the first invalid
 //! frame (torn tail, bit flip, short header — anything the checksum or
-//! bounds checks reject). Recovered segments are immediately eligible
-//! for compaction, so a crashed server's journal drains into ordinary
-//! record files shortly after restart.
+//! bounds checks reject). A frame that passes its checksum but sets a
+//! flag bit is no torn tail: it is an acked batch in a shape this
+//! version cannot read (older versions set bit 0 on compressed
+//! bodies), so open fails with `InvalidData` rather than drop it and
+//! every acked frame after it. Recovered segments are immediately
+//! eligible for compaction, so a crashed server's journal drains into
+//! ordinary record files shortly after restart.
 //!
 //! ## Compaction
 //!
@@ -66,7 +68,6 @@ use std::time::Instant;
 
 use dri_telemetry::{Histogram, Registry, Span};
 
-use crate::compress;
 use crate::hash::fnv64;
 use crate::store::ResultStore;
 
@@ -83,14 +84,12 @@ pub const COMPACTED_SUFFIX: &str = ".wal.compacted";
 
 /// First bytes of every journal frame.
 const FRAME_MAGIC: [u8; 4] = *b"DRIJ";
-/// Frame flag bit 0: the body is a [`crate::compress`] stream.
-const FLAG_COMPRESSED: u8 = 1;
 /// magic + entry count(u32) + flags(u8) + body length(u64).
 const FRAME_HEAD: usize = 4 + 4 + 1 + 8;
 /// FNV-1a 64 over head + body, appended after the body.
 const FRAME_CHECKSUM: usize = 8;
 /// Hard ceiling on a frame body (matches the HTTP layer's body cap):
-/// recovery refuses to decompress anything claiming to be larger.
+/// recovery treats anything claiming to be larger as torn.
 const MAX_FRAME_BODY: usize = 64 * 1024 * 1024;
 
 /// One record bound for the journal: the same (kind, schema, key,
@@ -112,15 +111,12 @@ pub struct JournalEntry {
 pub struct JournalOptions {
     /// Rotate to a fresh segment once the active one exceeds this.
     pub max_segment_bytes: u64,
-    /// Compress frame bodies (kept only when it shrinks the frame).
-    pub compress: bool,
 }
 
 impl Default for JournalOptions {
     fn default() -> Self {
         JournalOptions {
             max_segment_bytes: 4 * 1024 * 1024,
-            compress: true,
         }
     }
 }
@@ -198,7 +194,9 @@ pub struct Journal {
 impl Journal {
     /// Opens the journal under `store_root`, replaying every existing
     /// segment (in sequence order, stopping each at its first invalid
-    /// frame) into the read index.
+    /// frame) into the read index. Fails with `InvalidData`, naming the
+    /// segment and offset, on a checksum-valid frame with unknown flags
+    /// (see the module docs).
     pub fn open(store_root: &Path, options: JournalOptions) -> io::Result<Journal> {
         let dir = store_root.join(JOURNAL_DIR);
         fs::create_dir_all(&dir)?;
@@ -245,7 +243,22 @@ impl Journal {
         for (seq, path) in segments {
             let bytes = fs::read(&path)?;
             let mut at = 0usize;
-            while let Some((entries, frame_len)) = decode_frame(&bytes, at) {
+            loop {
+                let (entries, frame_len) = match decode_frame(&bytes, at) {
+                    Ok(Some(frame)) => frame,
+                    Ok(None) => break,
+                    Err(flags) => {
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!(
+                                "journal segment {} offset {at}: checksum-valid frame \
+                                 carries unknown flags {flags:#04x} (a compressed frame \
+                                 from an older server?); refusing to drop acked records",
+                                path.display()
+                            ),
+                        ));
+                    }
+                };
                 for entry in entries {
                     inner.index.insert(
                         (entry.kind, entry.schema, entry.key),
@@ -281,7 +294,7 @@ impl Journal {
         if entries.is_empty() {
             return Ok(());
         }
-        let frame = encode_frame(&entries, self.options.compress);
+        let frame = encode_frame(&entries);
         let started = Instant::now();
         let mut inner = self.inner.lock().expect("journal lock");
         let result: io::Result<()> = (|| {
@@ -320,7 +333,7 @@ impl Journal {
     /// and the torn-write tests use this to prove recovery drops the
     /// whole batch.
     pub fn simulate_torn_append(&self, entries: &[JournalEntry], keep: usize) -> io::Result<()> {
-        let frame = encode_frame(entries, self.options.compress);
+        let frame = encode_frame(entries);
         let keep = keep.min(frame.len().saturating_sub(1)).max(1);
         let mut inner = self.inner.lock().expect("journal lock");
         let active = self.active_segment(&mut inner, frame.len() as u64)?;
@@ -476,7 +489,7 @@ fn segment_seq(name: &str) -> Option<u64> {
 }
 
 /// Encodes one batch as a self-validating frame (see the module docs).
-fn encode_frame(entries: &[JournalEntry], compress: bool) -> Vec<u8> {
+fn encode_frame(entries: &[JournalEntry]) -> Vec<u8> {
     let mut body = Vec::new();
     for entry in entries {
         debug_assert!(entry.kind.len() <= u8::MAX as usize, "kind fits u8 length");
@@ -487,18 +500,10 @@ fn encode_frame(entries: &[JournalEntry], compress: bool) -> Vec<u8> {
         body.extend_from_slice(&(entry.payload.len() as u32).to_le_bytes());
         body.extend_from_slice(&entry.payload);
     }
-    let mut flags = 0u8;
-    if compress {
-        let packed = compress::compress(&body);
-        if packed.len() < body.len() {
-            body = packed;
-            flags |= FLAG_COMPRESSED;
-        }
-    }
     let mut frame = Vec::with_capacity(FRAME_HEAD + body.len() + FRAME_CHECKSUM);
     frame.extend_from_slice(&FRAME_MAGIC);
     frame.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    frame.push(flags);
+    frame.push(0); // flags: none defined
     frame.extend_from_slice(&(body.len() as u64).to_le_bytes());
     frame.extend_from_slice(&body);
     let checksum = fnv64(&frame);
@@ -507,41 +512,32 @@ fn encode_frame(entries: &[JournalEntry], compress: bool) -> Vec<u8> {
 }
 
 /// Decodes the frame starting at `bytes[at..]`, returning its entries
-/// and its total length. `None` means torn, corrupt, or absent —
-/// recovery stops the segment scan there.
-fn decode_frame(bytes: &[u8], at: usize) -> Option<(Vec<JournalEntry>, usize)> {
-    let head = bytes.get(at..at + FRAME_HEAD)?;
-    if head[0..4] != FRAME_MAGIC {
-        return None;
-    }
-    let count = u32::from_le_bytes(head[4..8].try_into().ok()?) as usize;
-    let flags = head[8];
-    if flags & !FLAG_COMPRESSED != 0 {
-        return None;
-    }
-    let body_len = u64::from_le_bytes(head[9..17].try_into().ok()?);
-    if body_len > MAX_FRAME_BODY as u64 {
-        return None;
+/// and its total length. `Ok(None)` means torn, corrupt, or absent —
+/// recovery stops the segment scan there. `Err(flags)` is a frame that
+/// passed its checksum but sets flag bits this version does not know.
+fn decode_frame(bytes: &[u8], at: usize) -> Result<Option<(Vec<JournalEntry>, usize)>, u8> {
+    let Some(head) = bytes.get(at..at + FRAME_HEAD) else {
+        return Ok(None);
+    };
+    let body_len = u64::from_le_bytes(head[9..17].try_into().expect("8 bytes"));
+    if head[0..4] != FRAME_MAGIC || body_len > MAX_FRAME_BODY as u64 {
+        return Ok(None);
     }
     let body_start = at + FRAME_HEAD;
-    let body_end = body_start.checked_add(body_len as usize)?;
-    let frame_end = body_end.checked_add(FRAME_CHECKSUM)?;
-    if frame_end > bytes.len() {
-        return None;
-    }
-    let declared = u64::from_le_bytes(bytes[body_end..frame_end].try_into().ok()?);
-    if fnv64(&bytes[at..body_end]) != declared {
-        return None;
-    }
-    let unpacked;
-    let body: &[u8] = if flags & FLAG_COMPRESSED != 0 {
-        unpacked = compress::decompress(&bytes[body_start..body_end], MAX_FRAME_BODY)?;
-        &unpacked
-    } else {
-        &bytes[body_start..body_end]
+    let body_end = body_start + body_len as usize;
+    let frame_end = body_end + FRAME_CHECKSUM;
+    let Some(trailer) = bytes.get(body_end..frame_end) else {
+        return Ok(None);
     };
-    let entries = decode_body(body, count)?;
-    Some((entries, frame_end - at))
+    if fnv64(&bytes[at..body_end]) != u64::from_le_bytes(trailer.try_into().expect("8 bytes")) {
+        return Ok(None);
+    }
+    let flags = head[8];
+    if flags != 0 {
+        return Err(flags);
+    }
+    let count = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes")) as usize;
+    Ok(decode_body(&bytes[body_start..body_end], count).map(|entries| (entries, frame_end - at)))
 }
 
 /// Decodes exactly `count` entries consuming the whole `body`.
@@ -659,7 +655,6 @@ mod tests {
         let root = temp_root("rotate");
         let options = JournalOptions {
             max_segment_bytes: 256,
-            compress: false,
         };
         let journal = Journal::open(&root, options).expect("open");
         for key in 0..6u128 {

@@ -93,20 +93,18 @@
 //! Live `.wal` segments are invisible to the GC walker; drained
 //! `.wal.compacted` debris is swept.
 //!
-//! ## Compression
+//! ## One encoding
 //!
-//! [`compress`] is a dependency-free zigzag-varint delta codec over the
-//! little-endian `u64` words of a payload — simulation records are
-//! regular counter structs, so it routinely shrinks them several fold.
-//! It is applied inside journal frames, optionally at rest (the `DRIZ`
-//! record shape, [`store::STORE_COMPRESS_ENV`]), and on the push/batch
-//! wire when client and server negotiate it by header; every use keeps
-//! the raw form whenever compression would inflate.
+//! Records are stored and sent uncompressed. A record file and a wire
+//! record are the same checksummed `DRIS` bytes, so a loaded file is
+//! served as-is; a journal frame carries raw payloads under its own
+//! checksum. Records are small fixed-width counter structs (quick
+//! figure3 averages 222 B) and each one fills a whole disk block anyway,
+//! so the store carries no compression codec.
 
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod compress;
 pub mod gc;
 pub mod hash;
 pub mod journal;
@@ -124,6 +122,4 @@ pub use lease::{
 };
 pub use plan::{KeyPlan, KeyRef};
 pub use ring::HashRing;
-pub use store::{
-    decode_record, frame_record, frame_record_compressed, validate_record, ResultStore, StoreStats,
-};
+pub use store::{frame_record, validate_record, ResultStore, StoreStats};

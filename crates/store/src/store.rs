@@ -2,15 +2,13 @@
 //! atomic publication, and best-effort semantics (I/O failures degrade to
 //! cache misses, never to errors the simulation pipeline must handle).
 
-use std::borrow::Cow;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use dri_telemetry::{Histogram, Registry};
 
-use crate::compress;
 use crate::hash::fnv64;
 
 /// First bytes of every record file.
@@ -19,21 +17,6 @@ const MAGIC: [u8; 4] = *b"DRIS";
 const HEADER_LEN: usize = 4 + 4 + 16 + 8;
 /// FNV-1a 64 over header + payload, appended after the payload.
 const CHECKSUM_LEN: usize = 8;
-
-/// First bytes of a *compressed* record file (the `DRIZ` variant).
-/// Schema, key, and original payload length sit at the same offsets as
-/// in a raw `DRIS` record, so every header-tamper test and forensic
-/// tool reads both shapes identically.
-const MAGIC_Z: [u8; 4] = *b"DRIZ";
-/// `DRIZ` header: the `DRIS` header plus a compressed-length `u64`.
-const HEADER_LEN_Z: usize = HEADER_LEN + 8;
-
-/// Environment variable that opts record files into at-rest compression
-/// (`DRIZ` records). Off by default: raw `DRIS` bytes on disk equal the
-/// wire frame exactly, which existing stores and tests rely on. Loads
-/// accept both shapes regardless of the flag, so flipping it (either
-/// way) on a populated store is always safe.
-pub const STORE_COMPRESS_ENV: &str = "DRI_STORE_COMPRESS";
 
 /// Environment variable naming the store root. Unset (or empty) disables
 /// the disk tier entirely, which keeps tests hermetic by default.
@@ -102,63 +85,6 @@ pub fn frame_record(schema: u32, key: u128, payload: &[u8]) -> Vec<u8> {
     record
 }
 
-/// Builds the compressed (`DRIZ`) on-disk record for
-/// `(schema, key, payload)`: the [`frame_record`] header plus a
-/// compressed-length field, the [`compress`] stream of the payload, and
-/// the trailing FNV-1a 64 checksum over everything before it. The
-/// checksum covers the *compressed* bytes, so corruption is caught
-/// before the decoder runs.
-pub fn frame_record_compressed(schema: u32, key: u128, payload: &[u8]) -> Vec<u8> {
-    let packed = compress::compress(payload);
-    let mut record = Vec::with_capacity(HEADER_LEN_Z + packed.len() + CHECKSUM_LEN);
-    record.extend_from_slice(&MAGIC_Z);
-    record.extend_from_slice(&schema.to_le_bytes());
-    record.extend_from_slice(&key.to_le_bytes());
-    record.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    record.extend_from_slice(&(packed.len() as u64).to_le_bytes());
-    record.extend_from_slice(&packed);
-    let checksum = fnv64(&record);
-    record.extend_from_slice(&checksum.to_le_bytes());
-    record
-}
-
-/// Validates one raw `DRIZ` record and returns the *decompressed*
-/// payload. The same five checks as [`validate_record`] plus the
-/// compressed-length field and a post-decode length cross-check.
-fn validate_compressed_record(bytes: &[u8], schema: u32, key: u128) -> Option<Vec<u8>> {
-    let body = bytes.len().checked_sub(CHECKSUM_LEN)?;
-    let packed_len = body.checked_sub(HEADER_LEN_Z)?;
-    if bytes[0..4] != MAGIC_Z {
-        return None;
-    }
-    if u32::from_le_bytes(bytes[4..8].try_into().ok()?) != schema {
-        return None;
-    }
-    if u128::from_le_bytes(bytes[8..24].try_into().ok()?) != key {
-        return None;
-    }
-    let payload_len = u64::from_le_bytes(bytes[24..32].try_into().ok()?);
-    if u64::from_le_bytes(bytes[32..40].try_into().ok()?) != packed_len as u64 {
-        return None;
-    }
-    let declared = u64::from_le_bytes(bytes[body..].try_into().ok()?);
-    if fnv64(&bytes[..body]) != declared {
-        return None;
-    }
-    let payload = compress::decompress(&bytes[HEADER_LEN_Z..body], payload_len as usize)?;
-    (payload.len() as u64 == payload_len).then_some(payload)
-}
-
-/// Validates a record of *either* shape — raw `DRIS` or compressed
-/// `DRIZ` — returning the payload: borrowed straight out of a raw
-/// record, owned (decompressed) out of a compressed one.
-pub fn decode_record(bytes: &[u8], schema: u32, key: u128) -> Option<Cow<'_, [u8]>> {
-    if bytes.get(0..4) == Some(&MAGIC_Z) {
-        return validate_compressed_record(bytes, schema, key).map(Cow::Owned);
-    }
-    validate_record(bytes, schema, key).map(Cow::Borrowed)
-}
-
 /// Monotonic counters describing one store's traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
@@ -208,10 +134,6 @@ pub struct ResultStore {
     load_latency: Histogram,
     /// Disk-tier save latency (frame + temp write + fsync + rename).
     save_latency: Histogram,
-    /// When set, saves prefer the compressed `DRIZ` record shape (and
-    /// fall back to raw `DRIS` whenever compression does not shrink the
-    /// file). Loads accept both shapes unconditionally.
-    compress_at_rest: AtomicBool,
 }
 
 impl ResultStore {
@@ -233,17 +155,7 @@ impl ResultStore {
                 "dri_store_save_ns",
                 "disk-tier record save latency (frame + write + fsync + rename)",
             ),
-            compress_at_rest: AtomicBool::new(
-                std::env::var(STORE_COMPRESS_ENV).is_ok_and(|v| !v.is_empty() && v != "0"),
-            ),
         })
-    }
-
-    /// Overrides the [`STORE_COMPRESS_ENV`] at-rest compression choice
-    /// for this handle (tests flip it per-store instead of racing on
-    /// process-wide environment variables).
-    pub fn set_compress_at_rest(&self, on: bool) {
-        self.compress_at_rest.store(on, Ordering::Relaxed);
     }
 
     /// Opens the store named by the `DRI_STORE` environment variable, or
@@ -359,9 +271,9 @@ impl ResultStore {
                 return None;
             }
         };
-        match decode_record(&bytes, schema, key).and_then(|payload| {
+        match validate_record(&bytes, schema, key).and_then(|payload| {
             let len = payload.len() as u64;
-            decode(&payload).map(|value| (value, len))
+            decode(payload).map(|value| (value, len))
         }) {
             Some((value, payload_len)) => {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
@@ -394,7 +306,7 @@ impl ResultStore {
                 return None;
             }
         };
-        match decode_record(&bytes, schema, key) {
+        match validate_record(&bytes, schema, key) {
             Some(payload) => {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 self.stats
@@ -402,13 +314,8 @@ impl ResultStore {
                     .fetch_add(payload.len() as u64, Ordering::Relaxed);
                 self.stamp(&path);
                 self.load_latency.record_duration(started.elapsed());
-                // The wire speaks raw `DRIS` records regardless of the
-                // at-rest shape: a compressed file is re-framed so the
-                // remote reader's end-to-end validation never changes.
-                Some(match payload {
-                    Cow::Borrowed(_) => bytes,
-                    Cow::Owned(payload) => frame_record(schema, key, &payload),
-                })
+                // The file is already the wire frame.
+                Some(bytes)
             }
             None => {
                 self.stats.corrupt.fetch_add(1, Ordering::Relaxed);
@@ -446,15 +353,7 @@ impl ResultStore {
         let dir = path.parent().expect("entry path has a shard directory");
         fs::create_dir_all(dir)?;
 
-        let mut record = frame_record(schema, key, payload);
-        if self.compress_at_rest.load(Ordering::Relaxed) {
-            let packed = frame_record_compressed(schema, key, payload);
-            // Keep whichever shape is smaller: compression must never
-            // inflate a record at rest.
-            if packed.len() < record.len() {
-                record = packed;
-            }
-        }
+        let record = frame_record(schema, key, payload);
 
         // Unique temp name per (process, write): concurrent writers never
         // share a temp file, and the final rename is atomic on POSIX.
@@ -544,8 +443,32 @@ mod tests {
             fs::write(&path, &full[..cut]).expect("truncate");
             assert_eq!(store.load("dri", 1, key), None, "cut at {cut}");
         }
-        assert_eq!(store.stats().corrupt, 5);
+        // A checksum-valid `DRIZ` file, the compressed shape older
+        // versions wrote for this payload: the header plus a packed-length
+        // field, then the varint-delta stream. Loads treat it as ordinary
+        // corruption.
+        let packed = [
+            0x0a, 0xe0, 0xc4, 0x91, 0xb3, 0x86, 0xcd, 0x9a, 0xb6, 0x6e, b'8', b'9',
+        ];
+        let mut old = b"DRIZ".to_vec();
+        old.extend_from_slice(&1u32.to_le_bytes());
+        old.extend_from_slice(&key.to_le_bytes());
+        old.extend_from_slice(&10u64.to_le_bytes());
+        old.extend_from_slice(&(packed.len() as u64).to_le_bytes());
+        old.extend_from_slice(&packed);
+        old.extend_from_slice(&fnv64(&old).to_le_bytes());
+        fs::write(&path, &old).expect("old compressed record");
+        assert_eq!(store.load("dri", 1, key), None, "DRIZ file");
+        assert_eq!(store.load_record_bytes("dri", 1, key), None, "DRIZ file");
+        assert_eq!(store.stats().corrupt, 7);
         assert_eq!(store.stats().hits, 0);
+        // The recompute-and-heal path: the next save replaces it.
+        store.save("dri", 1, key, b"0123456789");
+        assert_eq!(fs::read(&path).expect("healed record"), full);
+        assert_eq!(
+            store.load("dri", 1, key).as_deref(),
+            Some(&b"0123456789"[..])
+        );
         let _ = fs::remove_dir_all(store.root());
     }
 
@@ -665,57 +588,6 @@ mod tests {
         // A re-opened handle adopts the persisted generation.
         let reopened = ResultStore::open(store.root()).expect("reopen");
         assert_eq!(reopened.generation(), 5);
-        let _ = fs::remove_dir_all(store.root());
-    }
-
-    #[test]
-    fn compressed_records_roundtrip_and_reframe_for_the_wire() {
-        let store = temp_store("compressed");
-        store.set_compress_at_rest(true);
-        let key = 0xbeef_u128;
-        // A counter-struct payload that compresses well.
-        let mut payload = Vec::new();
-        for i in 0u64..128 {
-            payload.extend_from_slice(&(9_000 + i * 5).to_le_bytes());
-        }
-        store.save("dri", 1, key, &payload);
-        let on_disk = fs::read(store.entry_path("dri", 1, key)).unwrap();
-        assert_eq!(&on_disk[0..4], b"DRIZ", "the DRIZ shape landed");
-        assert!(
-            on_disk.len() < frame_record(1, key, &payload).len(),
-            "compression shrank the file or save() would have kept DRIS"
-        );
-        // Schema and key live at the DRIS offsets in both shapes.
-        assert_eq!(u32::from_le_bytes(on_disk[4..8].try_into().unwrap()), 1);
-        assert_eq!(u128::from_le_bytes(on_disk[8..24].try_into().unwrap()), key);
-        assert_eq!(store.load("dri", 1, key).as_deref(), Some(&payload[..]));
-        // The wire shape is re-framed to a raw DRIS record.
-        let wire = store.load_record_bytes("dri", 1, key).expect("wire record");
-        assert_eq!(validate_record(&wire, 1, key), Some(&payload[..]));
-        // Tampering anywhere in the compressed file is caught, not decoded.
-        for at in [0, 5, 17, HEADER_LEN_Z + 1, on_disk.len() - 1] {
-            let mut bent = on_disk.clone();
-            bent[at] ^= 0x10;
-            assert_eq!(decode_record(&bent, 1, key), None, "flip at {at}");
-        }
-        let _ = fs::remove_dir_all(store.root());
-    }
-
-    #[test]
-    fn incompressible_payloads_stay_raw_even_when_compression_is_on() {
-        let store = temp_store("incompressible");
-        store.set_compress_at_rest(true);
-        let noise: Vec<u8> = (0..256u32)
-            .map(|i| (i.wrapping_mul(0x9e37_79b9) >> 13) as u8)
-            .collect();
-        store.save("dri", 1, 3, &noise);
-        let on_disk = fs::read(store.entry_path("dri", 1, 3)).unwrap();
-        assert_eq!(
-            &on_disk[0..4],
-            b"DRIS",
-            "inflating payloads keep the raw shape"
-        );
-        assert_eq!(store.load("dri", 1, 3).as_deref(), Some(&noise[..]));
         let _ = fs::remove_dir_all(store.root());
     }
 

@@ -6,14 +6,19 @@
 //! * any single truncation or bit flip makes recovery stop cleanly at
 //!   the last valid frame: the surviving index is exactly the replay of
 //!   some *prefix* of the appended batches — never a torn record, never
-//!   garbage bytes, never a partially applied batch.
+//!   garbage bytes, never a partially applied batch;
+//! * a frame that passes its checksum but carries unknown flags is an
+//!   acked batch this version cannot read, so recovery refuses to open
+//!   rather than drop it.
 
 use std::collections::HashMap;
 use std::fs;
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dri_store::{compress, Journal, JournalEntry, JournalOptions, ResultStore};
+use dri_store::hash::fnv64;
+use dri_store::{Journal, JournalEntry, JournalOptions, ResultStore};
 use proptest::prelude::*;
 
 /// A fresh scratch root per proptest case (cases run sequentially but
@@ -94,12 +99,10 @@ fn the_segment(root: &Path) -> PathBuf {
     segments.pop().expect("segment")
 }
 
-/// Journal options with rotation off (tests corrupt one known file) and
-/// both codec paths exercised by the `compressed` flag.
-fn options(compressed: bool) -> JournalOptions {
+/// Journal options with rotation off (tests corrupt one known file).
+fn options() -> JournalOptions {
     JournalOptions {
         max_segment_bytes: u64::MAX,
-        compress: compressed,
     }
 }
 
@@ -107,12 +110,11 @@ proptest! {
     #[test]
     fn batch_sequences_roundtrip_through_recovery_and_compaction(
         batches in prop::collection::vec(batch(), 1..6),
-        compressed in any::<bool>(),
     ) {
         let root = temp_root("roundtrip");
         let expected = expected_index(&batches, batches.len());
 
-        let journal = Journal::open(&root, options(compressed)).expect("open");
+        let journal = Journal::open(&root, options()).expect("open");
         for batch in &batches {
             journal.append_batch(batch.clone()).expect("append");
         }
@@ -121,7 +123,7 @@ proptest! {
         drop(journal);
 
         // A clean restart replays everything.
-        let recovered = Journal::open(&root, options(compressed)).expect("recover");
+        let recovered = Journal::open(&root, options()).expect("recover");
         prop_assert!(journal_matches(&recovered, &expected), "post-recovery index");
 
         // Compaction lands every record bit-identically in the store.
@@ -142,11 +144,10 @@ proptest! {
     #[test]
     fn any_single_truncation_recovers_a_clean_batch_prefix(
         batches in prop::collection::vec(batch(), 1..6),
-        compressed in any::<bool>(),
         cut_seed in any::<u64>(),
     ) {
         let root = temp_root("truncate");
-        let journal = Journal::open(&root, options(compressed)).expect("open");
+        let journal = Journal::open(&root, options()).expect("open");
         for batch in &batches {
             journal.append_batch(batch.clone()).expect("append");
         }
@@ -157,7 +158,7 @@ proptest! {
         let cut = (cut_seed % (full.len() as u64 + 1)) as usize;
         fs::write(&segment, &full[..cut]).expect("truncate");
 
-        let recovered = Journal::open(&root, options(compressed)).expect("recover");
+        let recovered = Journal::open(&root, options()).expect("recover");
         let matched = (0..=batches.len()).any(|upto| {
             journal_matches(&recovered, &expected_index(&batches, upto))
         });
@@ -173,12 +174,11 @@ proptest! {
     #[test]
     fn any_single_bit_flip_recovers_a_clean_batch_prefix(
         batches in prop::collection::vec(batch(), 1..6),
-        compressed in any::<bool>(),
         flip_seed in any::<u64>(),
         bit in 0u8..8,
     ) {
         let root = temp_root("bitflip");
-        let journal = Journal::open(&root, options(compressed)).expect("open");
+        let journal = Journal::open(&root, options()).expect("open");
         for batch in &batches {
             journal.append_batch(batch.clone()).expect("append");
         }
@@ -190,7 +190,7 @@ proptest! {
         bytes[at] ^= 1 << bit;
         fs::write(&segment, &bytes).expect("corrupt");
 
-        let recovered = Journal::open(&root, options(compressed)).expect("recover");
+        let recovered = Journal::open(&root, options()).expect("recover");
         let matched = (0..=batches.len()).any(|upto| {
             journal_matches(&recovered, &expected_index(&batches, upto))
         });
@@ -204,18 +204,44 @@ proptest! {
         let _ = fs::remove_dir_all(root);
     }
 
-    #[test]
-    fn delta_codec_roundtrips_arbitrary_payloads(
-        payload in prop::collection::vec(any::<u8>(), 0..512),
-    ) {
-        let packed = compress::compress(&payload);
-        prop_assert_eq!(
-            compress::decompress(&packed, payload.len()),
-            Some(payload.clone())
-        );
-        // A tighter bound than the real length is refused, not overrun.
-        if !payload.is_empty() {
-            prop_assert_eq!(compress::decompress(&packed, payload.len() - 1), None);
-        }
-    }
+}
+
+#[test]
+fn a_checksum_valid_frame_with_unknown_flags_fails_open() {
+    let root = temp_root("flags");
+    let journal = Journal::open(&root, options()).expect("open");
+    journal
+        .append_batch(vec![entry(0, 1, 7, b"acked".to_vec())])
+        .expect("append");
+    drop(journal);
+
+    // A second frame, checksum-valid, with flag bit 0 set: the shape an
+    // older server wrote for a compressed body.
+    let segment = the_segment(&root);
+    let offset = fs::metadata(&segment).expect("segment").len();
+    let body = b"an older server's compressed body";
+    let mut frame = b"DRIJ".to_vec();
+    frame.extend_from_slice(&1u32.to_le_bytes());
+    frame.push(1);
+    frame.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    frame.extend_from_slice(body);
+    frame.extend_from_slice(&fnv64(&frame).to_le_bytes());
+    fs::OpenOptions::new()
+        .append(true)
+        .open(&segment)
+        .and_then(|mut file| file.write_all(&frame))
+        .expect("append frame");
+
+    let err = Journal::open(&root, options()).expect_err("unknown flags must fail open");
+    assert_eq!(err.kind(), ErrorKind::InvalidData);
+    let message = err.to_string();
+    assert!(
+        message.contains(&segment.display().to_string()),
+        "names the segment: {message}"
+    );
+    assert!(
+        message.contains(&format!("offset {offset}")),
+        "names the offset: {message}"
+    );
+    let _ = fs::remove_dir_all(root);
 }
