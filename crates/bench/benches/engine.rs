@@ -152,7 +152,9 @@ fn bench_engine(c: &mut Criterion) {
 
     // Write path: a token-authenticated server over a scratch root, fed
     // by a client holding the matching secret. Per-record signed PUTs
-    // versus one chunked batch-put of a grid's worth of records.
+    // (each waits out the journal's commit window) versus one chunked
+    // batch-put of a grid's worth of records, which lands as one
+    // checksummed segment append with **one fsync**.
     let push_root =
         std::env::temp_dir().join(format!("dri-engine-bench-push-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&push_root);
@@ -180,37 +182,11 @@ fn bench_engine(c: &mut Criterion) {
         .map(|(k, r)| ("dri", 1u32, *k, r.as_slice()))
         .collect();
     group.throughput(Throughput::Elements(entries.len() as u64));
-    group.bench_function("push/batch_put_grid/compress_quick", |b| {
+    group.bench_function("push/batch_put_grid_journaled/compress_quick", |b| {
         b.iter(|| black_box(pusher.push_batch(black_box(&entries))))
     });
     push_server.shutdown();
     let _ = std::fs::remove_dir_all(&push_root);
-
-    // The same grid push against a journaled server: the whole batch
-    // lands as one checksummed segment append with **one fsync**, versus
-    // one atomic record write (and its per-file fsync) per entry above.
-    let journal_root =
-        std::env::temp_dir().join(format!("dri-engine-bench-journal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&journal_root);
-    let journal_server = dri_serve::Server::bind_with_journal(
-        Arc::new(ResultStore::open(&journal_root).expect("journal store")),
-        "127.0.0.1:0",
-        2,
-        Some(token.to_owned()),
-        dri_serve::DEFAULT_LEASE_TTL_MS,
-        None,
-        Some(dri_serve::JournalConfig::default()),
-    )
-    .expect("journal server");
-    let journal_pusher = dri_serve::RemoteStore::with_token(
-        journal_server.addr().to_string(),
-        Some(token.to_owned()),
-    );
-    group.bench_function("push/batch_put_grid_journaled/compress_quick", |b| {
-        b.iter(|| black_box(journal_pusher.push_batch(black_box(&entries))))
-    });
-    journal_server.shutdown();
-    let _ = std::fs::remove_dir_all(&journal_root);
 
     let _ = std::fs::remove_dir_all(&root);
     group.finish();

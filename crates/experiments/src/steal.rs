@@ -327,12 +327,13 @@ mod tests {
     fn drain_runs_every_unit_once_and_then_reports_drained() {
         let root = temp_root("lifecycle");
         let token = "steal-unit-secret";
-        let server = dri_serve::Server::bind_with_options(
+        let server = dri_serve::Server::bind_with_journal(
             Arc::new(ResultStore::open(&root).expect("open store")),
             "127.0.0.1:0",
             4,
             Some(token.to_owned()),
             60_000,
+            None,
             None,
         )
         .expect("bind");
@@ -369,12 +370,13 @@ mod tests {
     #[test]
     fn drain_fails_fast_without_the_write_token() {
         let root = temp_root("auth");
-        let server = dri_serve::Server::bind_with_options(
+        let server = dri_serve::Server::bind_with_journal(
             Arc::new(ResultStore::open(&root).expect("open store")),
             "127.0.0.1:0",
             2,
             Some("the-real-secret".to_owned()),
             60_000,
+            None,
             None,
         )
         .expect("bind");

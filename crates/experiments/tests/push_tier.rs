@@ -194,9 +194,9 @@ fn two_pushing_workers_fill_the_store_and_a_cold_third_replays_everything() {
     assert_eq!(stats.simulations(), 0, "nothing simulated on replay");
     assert_eq!(stats.workload_misses, 0, "no workload even generated");
 
-    // Restart the service over the same root: pushes landed as ordinary
-    // atomic store writes, so a fresh (read-only) server serves the
-    // healed store identically.
+    // Restart the service over the same root: shutdown drained the
+    // journal into ordinary record files, so a fresh (read-only) server
+    // serves the healed store identically.
     server.shutdown();
     let server = Server::bind(Arc::new(open_store(&central)), "127.0.0.1:0", 4).expect("rebind");
     let late = SimSession::builder()

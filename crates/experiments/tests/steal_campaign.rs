@@ -49,13 +49,14 @@ fn open_store(root: &Path) -> ResultStore {
 /// and optional chaos spec.
 fn serve_scheduler(root: &Path, ttl_ms: u64, faults: Option<&str>) -> Server {
     let faults = faults.map(|spec| FaultSpec::parse(spec).expect("valid fault spec"));
-    Server::bind_with_options(
+    Server::bind_with_journal(
         Arc::new(open_store(root)),
         "127.0.0.1:0",
         4,
         Some(TOKEN.to_owned()),
         ttl_ms,
         faults,
+        None,
     )
     .expect("bind server")
 }

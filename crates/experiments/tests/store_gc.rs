@@ -215,7 +215,9 @@ fn gc_spares_undrained_journal_segments_and_sweeps_compacted_debris() {
     );
 
     // Recovery over the post-GC root still serves the journaled batch,
-    // and draining it lands every payload bit-identically.
+    // and draining it lands every payload bit-identically. (A root has
+    // one live journal at a time: the writer goes first.)
+    drop(journal);
     let recovered = Journal::open(&root, JournalOptions::default()).expect("reopen");
     assert_eq!(recovered.stats().recovered, 3, "journaled batch survived");
     assert_eq!(recovered.compact(&store).expect("drain"), 3);

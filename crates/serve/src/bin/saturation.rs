@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dri_serve::{JournalConfig, Server, ShardedStore, DEFAULT_LEASE_TTL_MS};
+use dri_serve::{Server, ShardedStore};
 use dri_store::{frame_record, ResultStore};
 
 const KIND: &str = "dri";
@@ -139,15 +139,8 @@ impl Fleet {
             ));
             let _ = fs::remove_dir_all(&root);
             let store = Arc::new(ResultStore::open(&root).map_err(std::io::Error::other)?);
-            let server = Server::bind_with_journal(
-                store,
-                "127.0.0.1:0",
-                WORKERS,
-                Some(TOKEN.to_owned()),
-                DEFAULT_LEASE_TTL_MS,
-                None,
-                Some(JournalConfig::default()),
-            )?;
+            let server =
+                Server::bind_with_token(store, "127.0.0.1:0", WORKERS, Some(TOKEN.to_owned()))?;
             addrs.push(server.addr().to_string());
             servers.push(server);
             roots.push(root);

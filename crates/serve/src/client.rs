@@ -343,7 +343,7 @@ pub struct ServerStats {
     /// `PUT` / `POST /batch-put` exchanges the server fielded.
     pub push_round_trips: u64,
     /// Records sitting in the server's group-commit journal, acked but
-    /// not yet compacted into record files (0 on a journal-less server).
+    /// not yet compacted into record files.
     pub journal_depth: u64,
     /// Group-commit batches the server's journal has appended.
     pub journal_batches: u64,

@@ -44,8 +44,13 @@
 //! reverse: the worker frames the full checksummed record
 //! ([`dri_store::frame_record`]), the server re-validates it against the
 //! schema and key the request *names* (a mismatch fails the entry), and
-//! the payload lands through the store's atomic temp+rename write, so
-//! racing GC and concurrent readers never observe a torn record.
+//! the payload lands through the group-commit journal (below).
+//!
+//! ## One write path
+//!
+//! Every server writes records only through its [`dri_store::Journal`]
+//! (see [`server`]). Binding takes the store root's journal lock, so run
+//! one server per root: a second bind on a live root fails, naming it.
 //!
 //! ## The push protocol
 //!

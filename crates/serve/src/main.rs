@@ -11,50 +11,16 @@
 //! warm grids with zero local simulations; workers holding the same
 //! `DRI_TOKEN` additionally push what they simulate (`DRI_PUSH=1`), so
 //! the store fills fleet-wide instead of per machine.
+//!
+//! Pushes land through the group-commit journal under `<store>/journal/`.
+//! Run one `dri-serve` per store root: a second one on a live root exits
+//! with an error.
 
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use std::time::Duration;
-
-use dri_serve::{
-    default_workers, server::lease_ttl_from_env, FaultSpec, JournalConfig, Server, TOKEN_ENV,
-};
+use dri_serve::{default_workers, server::lease_ttl_from_env, FaultSpec, Server, TOKEN_ENV};
 use dri_store::ResultStore;
-
-/// `DRI_JOURNAL=1` puts the write path through the group-commit journal:
-/// pushes land as one fsynced segment append per batch (acked only after
-/// the fsync) and a background compactor drains sealed segments into
-/// record files. Unset/0 keeps the original per-record atomic writes.
-const JOURNAL_ENV: &str = "DRI_JOURNAL";
-/// Commit window (ms) single `PUT`s wait to coalesce into one fsync
-/// (default 2; 0 = fsync immediately). Batch puts never wait.
-const COMMIT_WINDOW_ENV: &str = "DRI_COMMIT_WINDOW_MS";
-/// Interval (ms) between background compaction passes (default 250).
-const COMPACT_INTERVAL_ENV: &str = "DRI_JOURNAL_COMPACT_MS";
-
-/// Parses a millisecond env knob, keeping `default` on absent/bad input.
-fn env_ms(name: &str, default: Duration) -> Duration {
-    std::env::var(name)
-        .ok()
-        .and_then(|raw| raw.trim().parse::<u64>().ok())
-        .map(Duration::from_millis)
-        .unwrap_or(default)
-}
-
-/// Resolves the journal env knobs: `None` unless `DRI_JOURNAL=1`.
-fn journal_from_env() -> Option<JournalConfig> {
-    let raw = std::env::var(JOURNAL_ENV).ok()?;
-    if raw.trim() != "1" {
-        return None;
-    }
-    let defaults = JournalConfig::default();
-    Some(JournalConfig {
-        commit_window: env_ms(COMMIT_WINDOW_ENV, defaults.commit_window),
-        compact_interval: env_ms(COMPACT_INTERVAL_ENV, defaults.compact_interval),
-        ..defaults
-    })
-}
 
 const USAGE: &str = "\
 usage: dri-serve [--store DIR] [--addr HOST:PORT] [--workers N] [--token SECRET]
@@ -62,7 +28,9 @@ usage: dri-serve [--store DIR] [--addr HOST:PORT] [--workers N] [--token SECRET]
 Serves a dri-store root as an HTTP result service (GET /healthz,
 GET /stats, GET /record/<kind>/v<schema>/<key>, POST /batch; with a
 token also PUT /record/..., POST /batch-put, and the campaign
-scheduler's POST /lease/claim|renew|complete). Runs until killed.
+scheduler's POST /lease/claim|renew|complete). Writes land through a
+group-commit journal under DIR/journal: one fsync per push batch, acked
+after the fsync. One dri-serve per store root. Runs until killed.
 
 options:
   --store DIR       store root (default: the DRI_STORE environment variable)
@@ -80,14 +48,6 @@ environment:
                     consistent-hashing record keys across the same list
   DRI_REPLICAS      owners per record key in the fleet (default 2)
   DRI_LEASE_TTL_MS  lease TTL granted to --steal workers (default 30000)
-  DRI_JOURNAL       1 = group-commit write journal: one fsync per push
-                    batch, acked after the fsync, drained to record files
-                    by a background compactor (default: off)
-  DRI_COMMIT_WINDOW_MS
-                    ms a single PUT waits to share its fsync with
-                    concurrent writers (default 2; 0 = fsync immediately)
-  DRI_JOURNAL_COMPACT_MS
-                    ms between background compaction passes (default 250)
   DRI_FAULT         chaos spec, e.g. drop:7,delay:5:40,503:9,torn:11,
                     crash:17 — deterministic fault injection for tests;
                     never set this on a production server";
@@ -173,14 +133,6 @@ fn main() -> ExitCode {
         }
     };
     let fault_banner = faults.as_ref().map(FaultSpec::describe);
-    let journal = journal_from_env();
-    let journal_banner = journal.as_ref().map(|config| {
-        format!(
-            "group-commit journal on (commit window {} ms, compact every {} ms)",
-            config.commit_window.as_millis(),
-            config.compact_interval.as_millis()
-        )
-    });
     let server = match Server::bind_with_journal(
         Arc::clone(&store),
         args.addr.as_str(),
@@ -188,7 +140,7 @@ fn main() -> ExitCode {
         args.token,
         lease_ttl_from_env(),
         faults,
-        journal,
+        None,
     ) {
         Ok(server) => server,
         Err(err) => {
@@ -199,9 +151,7 @@ fn main() -> ExitCode {
     if let Some(spec) = fault_banner {
         eprintln!("dri-serve: FAULT INJECTION ACTIVE ({spec}) — chaos-test mode");
     }
-    if let Some(line) = journal_banner {
-        eprintln!("dri-serve: {line}");
-    }
+    eprintln!("dri-serve: group-commit journal on");
     if let Some((shards, replicas)) = dri_serve::sharded::fleet_membership_from_env() {
         eprintln!("dri-serve: fleet member ({shards} shards, {replicas} replicas per key)");
     }

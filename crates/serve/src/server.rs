@@ -11,16 +11,17 @@
 //!
 //! ## The group-commit write path
 //!
-//! A server bound with a [`JournalConfig`] routes every accepted write
-//! through a [`dri_store::Journal`] instead of one-fsync-per-record
-//! store saves: a whole `POST /batch-put` becomes **one** checksummed
-//! segment append and **one** fsync, acked only after the fsync — so an
-//! ack is a durability promise, proven by the crash-recovery tests. A
-//! commit window additionally coalesces concurrent single `PUT`s
-//! (which each wait out a few-millisecond window) into the same fsync.
-//! Reads fall through the journal index before touching the store, and
-//! a background compactor drains sealed segments into ordinary record
-//! files on an interval (plus once at shutdown).
+//! Every accepted write lands through the store root's
+//! [`dri_store::Journal`], the server's only writer: a whole
+//! `POST /batch-put` becomes **one** checksummed segment append and
+//! **one** fsync, acked only after the fsync — so an ack is a
+//! durability promise, proven by the crash-recovery tests. A commit
+//! window additionally coalesces concurrent single `PUT`s (which each
+//! wait out a few-millisecond window) into the same fsync. Reads fall
+//! through the journal index before touching the store, and a background
+//! compactor drains sealed segments into ordinary record files on an
+//! interval (plus once at shutdown). Binding takes the root's journal
+//! lock and recovers segments a crashed server left behind.
 
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -88,9 +89,8 @@ pub const MAX_PUSH_RECORD: usize = 1024 * 1024;
 /// How long one `/stats` disk-usage walk is reused before re-walking.
 const USAGE_CACHE_TTL: Duration = Duration::from_secs(5);
 
-/// How a journaled server groups writes (see the module docs). All
-/// fields have production defaults; `Default` is the tuned
-/// configuration `dri-serve --journal` / `DRI_JOURNAL=1` uses.
+/// How a server groups writes (see the module docs). All fields have
+/// production defaults; `Default` is the configuration `dri-serve` uses.
 #[derive(Debug, Clone, Copy)]
 pub struct JournalConfig {
     /// How long a single `PUT /record` waits for company before paying
@@ -214,14 +214,6 @@ impl CommitWindow {
     }
 }
 
-/// The journal plus its commit-window coordinator (present only on
-/// servers bound with a [`JournalConfig`]).
-#[derive(Debug)]
-struct JournalTier {
-    journal: Journal,
-    window: CommitWindow,
-}
-
 /// Snapshot of the service's traffic counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
@@ -302,7 +294,7 @@ struct AtomicServeStats {
     store_bytes: Gauge,
     store_generation: Gauge,
     /// Journal-tier gauges, refreshed at `/metrics` scrape time from
-    /// [`Journal::stats`] (all zero on a journal-less server).
+    /// [`Journal::stats`].
     journal_depth: Gauge,
     journal_batches: Gauge,
     journal_appended: Gauge,
@@ -463,9 +455,11 @@ struct Shared {
     lease_ttl_ms: u64,
     /// The chaos layer: `Some` only when `DRI_FAULT` asked for it.
     faults: Option<FaultSpec>,
-    /// The group-commit write path: `Some` only on servers bound with a
-    /// [`JournalConfig`]; `None` keeps the original save-per-record path.
-    journal: Option<JournalTier>,
+    /// The group-commit write path, the server's only way to land a
+    /// record.
+    journal: Journal,
+    /// Coalesces concurrent writers into one journal append.
+    window: CommitWindow,
     /// Fleet membership from the environment: `(shards, replicas)` when
     /// this process serves one shard of a `DRI_SHARDS` fleet.
     ring: Option<(u64, u64)>,
@@ -485,8 +479,8 @@ impl Shared {
     }
 }
 
-/// A running read-only result service (see the crate docs for the
-/// endpoints). Dropping (or [`Server::shutdown`]) stops the accept loop
+/// A running result service (see the crate docs for the endpoints).
+/// Dropping (or [`Server::shutdown`]) stops the accept loop
 /// and joins every worker.
 #[derive(Debug)]
 pub struct Server {
@@ -527,30 +521,23 @@ impl Server {
         workers: usize,
         token: Option<String>,
     ) -> io::Result<Server> {
-        Self::bind_with_options(store, addr, workers, token, DEFAULT_LEASE_TTL_MS, None)
+        Self::bind_with_journal(
+            store,
+            addr,
+            workers,
+            token,
+            DEFAULT_LEASE_TTL_MS,
+            None,
+            None,
+        )
     }
 
     /// The full-control bind: [`Server::bind_with_token`] plus the lease
-    /// TTL granted to `--steal` workers and an optional [`FaultSpec`]
-    /// chaos layer (`DRI_FAULT`; `None` = behave perfectly, the
-    /// production default).
-    pub fn bind_with_options(
-        store: Arc<ResultStore>,
-        addr: impl ToSocketAddrs,
-        workers: usize,
-        token: Option<String>,
-        lease_ttl_ms: u64,
-        faults: Option<FaultSpec>,
-    ) -> io::Result<Server> {
-        Self::bind_with_journal(store, addr, workers, token, lease_ttl_ms, faults, None)
-    }
-
-    /// [`Server::bind_with_options`] plus an optional group-commit
-    /// journal. With `Some(config)` the write endpoints ack through one
-    /// fsync per batch (see the module docs), existing journal segments
-    /// under the store root are recovered before the first connection is
-    /// accepted, and a background compactor drains the journal on
-    /// `config.compact_interval` (and once more at shutdown).
+    /// TTL granted to `--steal` workers, an optional [`FaultSpec`] chaos
+    /// layer (`DRI_FAULT`; `None` = behave perfectly, the production
+    /// default) and the journal's [`JournalConfig`] (`None` = the
+    /// default). Every bind opens the root's journal, so it fails while
+    /// another server holds the root (see the module docs).
     pub fn bind_with_journal(
         store: Arc<ResultStore>,
         addr: impl ToSocketAddrs,
@@ -564,13 +551,8 @@ impl Server {
         let addr = listener.local_addr()?;
         let stopping = Arc::new(AtomicBool::new(false));
         let broker = LeaseBroker::open(store.root())?;
-        let journal_tier = match journal {
-            Some(config) => Some(JournalTier {
-                journal: Journal::open(store.root(), config.options)?,
-                window: CommitWindow::new(config.commit_window),
-            }),
-            None => None,
-        };
+        let config = journal.unwrap_or_default();
+        let journal = Journal::open(store.root(), config.options)?;
         let shared = Arc::new(Shared {
             store,
             stats: AtomicServeStats::default(),
@@ -579,7 +561,8 @@ impl Server {
             broker,
             lease_ttl_ms: lease_ttl_ms.max(1),
             faults,
-            journal: journal_tier,
+            journal,
+            window: CommitWindow::new(config.commit_window),
             ring: crate::sharded::fleet_membership_from_env(),
         });
         let accept = spawn_threaded(
@@ -589,24 +572,21 @@ impl Server {
             Arc::clone(&stopping),
         );
 
-        let compactor = journal.map(|config| {
-            let stop = Arc::new((Mutex::new(false), Condvar::new()));
-            let thread = {
-                let shared = Arc::clone(&shared);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    compactor_loop(&shared, &stop, config.compact_interval);
-                })
-            };
-            CompactorHandle { thread, stop }
-        });
+        let stop = Arc::new((Mutex::new(false), Condvar::new()));
+        let thread = {
+            let shared = Arc::clone(&shared);
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                compactor_loop(&shared, &stop, config.compact_interval);
+            })
+        };
 
         Ok(Server {
             addr,
             stopping,
             accept: Some(accept),
             shared,
-            compactor,
+            compactor: Some(CompactorHandle { thread, stop }),
         })
     }
 
@@ -626,23 +606,17 @@ impl Server {
         self.shared.token.is_some()
     }
 
-    /// Snapshot of the journal counters; `None` on a journal-less bind.
+    /// Snapshot of the journal counters (always `Some`).
     pub fn journal_stats(&self) -> Option<JournalStats> {
-        self.shared
-            .journal
-            .as_ref()
-            .map(|tier| tier.journal.stats())
+        Some(self.shared.journal.stats())
     }
 
     /// Forces one journal compaction pass, returning the number of
-    /// records drained into the store (0, trivially, without a journal).
-    /// Tests and benches use this for deterministic drains; production
-    /// relies on the background compactor.
+    /// records drained into the store. Tests and benches use this for
+    /// deterministic drains; production relies on the background
+    /// compactor.
     pub fn compact_journal(&self) -> io::Result<u64> {
-        match &self.shared.journal {
-            Some(tier) => tier.journal.compact(&self.shared.store),
-            None => Ok(0),
-        }
+        self.shared.journal.compact(&self.shared.store)
     }
 
     /// Stops accepting, drains in-flight connections, joins all threads.
@@ -672,9 +646,6 @@ impl Server {
 /// Body of the background compactor thread: drain the journal every
 /// `interval`, and once more when the stop signal arrives.
 fn compactor_loop(shared: &Shared, stop: &(Mutex<bool>, Condvar), interval: Duration) {
-    let Some(tier) = shared.journal.as_ref() else {
-        return;
-    };
     let (flag, signal) = stop;
     loop {
         let mut stopped = flag.lock().expect("compactor stop lock");
@@ -686,7 +657,7 @@ fn compactor_loop(shared: &Shared, stop: &(Mutex<bool>, Condvar), interval: Dura
         }
         let done = *stopped;
         drop(stopped);
-        if let Err(err) = tier.journal.compact(&shared.store) {
+        if let Err(err) = shared.journal.compact(&shared.store) {
             // Leaving records in the journal is safe (they are durable
             // and served from the index); just say why drains stalled.
             eprintln!("dri-serve: journal compaction failed: {err}");
@@ -885,23 +856,21 @@ fn crash_with_request(request: Option<&Request>, shared: &Shared) -> ! {
     let batch_put =
         request.filter(|r| r.method == "POST" && r.path == "/batch-put" && r.encoding.is_none());
     if let Some(request) = batch_put {
-        if let Some(tier) = &shared.journal {
-            if let Some(frames) = parse_push_frames(&request.body) {
-                let entries: Vec<JournalEntry> = frames
-                    .into_iter()
-                    .filter_map(|(kind, schema, key, record)| {
-                        validate_record(record, schema, key).map(|payload| JournalEntry {
-                            kind,
-                            schema,
-                            key,
-                            payload: payload.to_vec(),
-                        })
+        if let Some(frames) = parse_push_frames(&request.body) {
+            let entries: Vec<JournalEntry> = frames
+                .into_iter()
+                .filter_map(|(kind, schema, key, record)| {
+                    validate_record(record, schema, key).map(|payload| JournalEntry {
+                        kind,
+                        schema,
+                        key,
+                        payload: payload.to_vec(),
                     })
-                    .collect();
-                if !entries.is_empty() {
-                    let keep = (request.body.len() / 2).max(1);
-                    let _ = tier.journal.simulate_torn_append(&entries, keep);
-                }
+                })
+                .collect();
+            if !entries.is_empty() {
+                let keep = (request.body.len() / 2).max(1);
+                let _ = shared.journal.simulate_torn_append(&entries, keep);
             }
         }
     }
@@ -977,10 +946,8 @@ fn route(request: &Request, shared: &Shared) -> Response {
 /// store. Journal payloads are re-framed with [`frame_record`], so the
 /// client's end-to-end re-validation works identically for both tiers.
 fn serve_record(kind: &str, schema: u32, key: u128, shared: &Shared) -> Option<Vec<u8>> {
-    if let Some(tier) = &shared.journal {
-        if let Some(payload) = tier.journal.lookup(kind, schema, key) {
-            return Some(frame_record(schema, key, &payload));
-        }
+    if let Some(payload) = shared.journal.lookup(kind, schema, key) {
+        return Some(frame_record(schema, key, &payload));
     }
     shared.store.load_record_bytes(kind, schema, key)
 }
@@ -1035,9 +1002,8 @@ fn authorize(request: &Request, shared: &Shared) -> Result<(), Response> {
 /// `PUT /record/<kind>/v<schema>/<key>`: accepts one complete record
 /// (header + payload + checksum, as [`dri_store::frame_record`] builds
 /// it), re-validates it against the *path's* schema and key, and lands
-/// the payload through the store's atomic temp+rename write — racing GC
-/// and concurrent readers observe either the old record or the new one,
-/// never a torn write.
+/// the payload through the journal, waiting out the commit window so
+/// concurrent `PUT`s share one fsync. The ack is a durability promise.
 fn put_record(request: &Request, shared: &Shared) -> Response {
     let stats = &shared.stats;
     stats.push_round_trips.inc();
@@ -1068,29 +1034,14 @@ fn put_record(request: &Request, shared: &Shared) -> Response {
     }
     match validate_record(body, schema, key) {
         Some(payload) => {
-            if let Some(tier) = &shared.journal {
-                // Group-commit: wait out the window so concurrent PUTs
-                // share one fsync; the ack below is a durability promise.
-                let entry = JournalEntry {
-                    kind,
-                    schema,
-                    key,
-                    payload: payload.to_vec(),
-                };
-                if tier
-                    .window
-                    .submit(&tier.journal, vec![entry], true)
-                    .is_err()
-                {
-                    return (
-                        500,
-                        "Internal Server Error",
-                        "text/plain",
-                        b"journal write failed\n".to_vec(),
-                    );
-                }
-            } else {
-                shared.store.save(&kind, schema, key, payload);
+            let entry = JournalEntry {
+                kind,
+                schema,
+                key,
+                payload: payload.to_vec(),
+            };
+            if let Err(failed) = commit(shared, vec![entry], true) {
+                return failed;
             }
             stats.records_accepted.inc();
             (200, "OK", "text/plain", b"accepted\n".to_vec())
@@ -1105,6 +1056,23 @@ fn put_record(request: &Request, shared: &Shared) -> Response {
             )
         }
     }
+}
+
+/// Lands `entries` through the commit window (see
+/// [`CommitWindow::submit`] for `coalesce`); `Err` is the `500` to
+/// answer when the append failed and nothing was acked.
+fn commit(shared: &Shared, entries: Vec<JournalEntry>, coalesce: bool) -> Result<(), Response> {
+    shared
+        .window
+        .submit(&shared.journal, entries, coalesce)
+        .map_err(|_| {
+            (
+                500,
+                "Internal Server Error",
+                "text/plain",
+                b"journal write failed\n".to_vec(),
+            )
+        })
 }
 
 /// One parsed `/batch-put` frame: where the record claims to live, and
@@ -1146,7 +1114,12 @@ fn parse_push_frames(body: &[u8]) -> Option<Vec<PushFrame<'_>>> {
 /// `POST /batch-put`: a framed multi-record upload. The response body is
 /// one status byte per frame, in order (`1` accepted, `0` rejected), so
 /// a corrupt, key-mismatched, or oversized record fails **only its own
-/// entry** — the rest of the batch still lands.
+/// entry** — the rest of the batch still lands. Every validated frame
+/// rides **one** journal frame and **one** fsync (plus whatever single
+/// PUTs were queued in the commit window when this batch drained it), so
+/// acceptance is all-or-nothing *within the accepted set*: if the append
+/// fails, nothing was acked and the client retries the whole batch
+/// (saves are idempotent, so replays are free).
 fn batch_put(request: &Request, shared: &Shared) -> Response {
     let stats = &shared.stats;
     stats.push_round_trips.inc();
@@ -1165,41 +1138,6 @@ fn batch_put(request: &Request, shared: &Shared) -> Response {
             b"bad batch-put body\n".to_vec(),
         );
     };
-    if let Some(tier) = &shared.journal {
-        return batch_put_journaled(frames, tier, stats);
-    }
-    let mut outcomes = Vec::with_capacity(frames.len());
-    for (kind, schema, key, record) in frames {
-        let payload = (record.len() <= MAX_PUSH_RECORD)
-            .then(|| validate_record(record, schema, key))
-            .flatten();
-        match payload {
-            Some(payload) => {
-                shared.store.save(&kind, schema, key, payload);
-                stats.records_accepted.inc();
-                outcomes.push(1u8);
-            }
-            None => {
-                stats.writes_rejected.inc();
-                outcomes.push(0u8);
-            }
-        }
-    }
-    (200, "OK", "application/octet-stream", outcomes)
-}
-
-/// The journaled `/batch-put` path: every validated frame in the batch
-/// rides **one** journal frame and **one** fsync (plus whatever single
-/// PUTs were queued in the commit window when this batch drained it).
-/// The per-entry response semantics are unchanged — a corrupt frame
-/// fails only itself — but acceptance is now all-or-nothing *within the
-/// accepted set*: if the append fails, nothing was acked and the client
-/// retries the whole batch (saves are idempotent, so replays are free).
-fn batch_put_journaled(
-    frames: Vec<PushFrame<'_>>,
-    tier: &JournalTier,
-    stats: &AtomicServeStats,
-) -> Response {
     let mut outcomes = vec![0u8; frames.len()];
     let mut entries = Vec::new();
     let mut accepted = Vec::new();
@@ -1222,13 +1160,8 @@ fn batch_put_journaled(
     }
     if !entries.is_empty() {
         let landed = entries.len() as u64;
-        if tier.window.submit(&tier.journal, entries, false).is_err() {
-            return (
-                500,
-                "Internal Server Error",
-                "text/plain",
-                b"journal write failed\n".to_vec(),
-            );
+        if let Err(failed) = commit(shared, entries, false) {
+            return failed;
         }
         stats.records_accepted.add(landed);
         for slot in accepted {
@@ -1539,12 +1472,7 @@ fn stats_json(shared: &Shared) -> Vec<u8> {
     let usage = shared.disk_usage();
     let snap = shared.stats.snapshot();
     let traffic = store.stats();
-    let journal_enabled = shared.journal.is_some();
-    let journal = shared
-        .journal
-        .as_ref()
-        .map(|tier| tier.journal.stats())
-        .unwrap_or_default();
+    let journal = shared.journal.stats();
     format!(
         "{{\"records\":{},\"bytes\":{},\"generation\":{},\"writable\":{},\
          \"requests\":{},\"hits\":{},\"misses\":{},\
@@ -1554,7 +1482,7 @@ fn stats_json(shared: &Shared) -> Vec<u8> {
          \"leases\":{{\"claims\":{},\"granted\":{},\"reclaimed\":{},\
          \"renewed\":{},\"completed\":{},\"rejected\":{}}},\
          \"store\":{{\"hits\":{},\"misses\":{},\"corrupt\":{}}},\
-         \"journal\":{{\"enabled\":{},\"depth\":{},\"batches\":{},\
+         \"journal\":{{\"enabled\":true,\"depth\":{},\"batches\":{},\
          \"appended\":{},\"fsyncs\":{},\"compactions\":{},\"compacted\":{}}},\
          \"ring\":{{\"shards\":{},\"replicas\":{}}}}}\n",
         usage.records,
@@ -1580,7 +1508,6 @@ fn stats_json(shared: &Shared) -> Vec<u8> {
         traffic.hits,
         traffic.misses,
         traffic.corrupt,
-        journal_enabled,
         journal.depth,
         journal.batches,
         journal.appended,
@@ -1608,15 +1535,13 @@ fn metrics_text(shared: &Shared) -> Vec<u8> {
         stats.ring_shards.set(shards);
         stats.ring_replicas.set(replicas);
     }
-    if let Some(tier) = &shared.journal {
-        let journal = tier.journal.stats();
-        stats.journal_depth.set(journal.depth);
-        stats.journal_batches.set(journal.batches);
-        stats.journal_appended.set(journal.appended);
-        stats.journal_fsyncs.set(journal.fsyncs);
-        stats.journal_compactions.set(journal.compactions);
-        stats.journal_compacted.set(journal.compacted);
-    }
+    let journal = shared.journal.stats();
+    stats.journal_depth.set(journal.depth);
+    stats.journal_batches.set(journal.batches);
+    stats.journal_appended.set(journal.appended);
+    stats.journal_fsyncs.set(journal.fsyncs);
+    stats.journal_compactions.set(journal.compactions);
+    stats.journal_compacted.set(journal.compacted);
     let mut text = stats.registry.render_prometheus();
     // The store's disk-tier latency histograms live in the process-wide
     // registry (every ResultStore handle shares them); append them so

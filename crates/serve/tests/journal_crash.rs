@@ -8,7 +8,7 @@
 //!   frame is ever served, before or after compaction.
 //!
 //! One test runs the real `dri-serve` binary and really kills it; the
-//! other drives the journal in-process to pin the read-through and
+//! others drive the journal in-process to pin the read-through and
 //! compaction bookkeeping.
 
 use std::io::{BufRead, BufReader};
@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dri_serve::{JournalConfig, RemoteStore, Server};
-use dri_store::{frame_record, ResultStore};
+use dri_store::{frame_record, Journal, JournalEntry, JournalOptions, ResultStore};
 
 fn temp_root(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("dri-journal-crash-{tag}-{}", std::process::id()));
@@ -50,7 +50,6 @@ fn spawn_server(root: &PathBuf, token: &str, fault: Option<&str>) -> (Child, Str
         .arg("--workers")
         .arg("2")
         .env("DRI_TOKEN", token)
-        .env("DRI_JOURNAL", "1")
         .env_remove("DRI_FAULT")
         .stdout(Stdio::piped())
         .stderr(Stdio::null());
@@ -147,7 +146,18 @@ fn acked_batches_survive_a_mid_push_crash_and_the_torn_batch_stays_invisible() {
             "unacked record {i} from the torn frame is invisible"
         );
     }
+    // SIGKILL the survivor: the kernel releases its journal lock, so a
+    // third server binds the same root at once and still serves.
     child.kill().expect("stop survivor");
+    let _ = child.wait();
+    let (mut child, addr) = spawn_server(&root, token, None);
+    let third = RemoteStore::with_token(addr, Some(token.to_owned()));
+    assert_eq!(
+        third.fetch("dri", 1, batch_a[0].0).as_deref(),
+        Some(payload(b'a', 0).as_slice()),
+        "a server rebinds a SIGKILLed server's root"
+    );
+    child.kill().expect("stop the third server");
     let _ = child.wait();
     let _ = std::fs::remove_dir_all(root);
 }
@@ -217,6 +227,41 @@ fn journaled_pushes_read_through_before_and_after_compaction() {
     assert_eq!(remote.journal_depth, 0);
     assert_eq!(remote.journal_compacted, 8);
 
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn a_default_read_only_server_serves_and_drains_inherited_segments() {
+    let root = temp_root("inherit");
+    let store = Arc::new(ResultStore::open(&root).expect("open store"));
+    // A writer acked a batch and died before compacting it: the journal
+    // segment is the only durable copy.
+    let journal = Journal::open(&root, JournalOptions::default()).expect("open journal");
+    let k = key(b'i', 0);
+    journal
+        .append_batch(vec![JournalEntry {
+            kind: "dri".to_owned(),
+            schema: 1,
+            key: k,
+            payload: payload(b'i', 0),
+        }])
+        .expect("append");
+    drop(journal);
+
+    let server = Server::bind(Arc::clone(&store), "127.0.0.1:0", 2).expect("bind");
+    let reader = RemoteStore::new(server.addr().to_string());
+    assert_eq!(
+        reader.fetch("dri", 1, k).as_deref(),
+        Some(payload(b'i', 0).as_slice()),
+        "the inherited record is served before compaction"
+    );
+    server.compact_journal().expect("compact");
+    assert!(
+        store.entry_path("dri", 1, k).is_file(),
+        "compaction lands the inherited record as a record file"
+    );
+    assert_eq!(store.load("dri", 1, k), Some(payload(b'i', 0)));
     server.shutdown();
     let _ = std::fs::remove_dir_all(root);
 }

@@ -25,13 +25,14 @@ fn serve(tag: &str, ttl_ms: u64, faults: Option<&str>) -> (Server, Arc<ResultSto
     let root = temp_root(tag);
     let store = Arc::new(ResultStore::open(&root).expect("open store"));
     let faults = faults.map(|spec| FaultSpec::parse(spec).expect("fault spec"));
-    let server = Server::bind_with_options(
+    let server = Server::bind_with_journal(
         Arc::clone(&store),
         "127.0.0.1:0",
         4,
         Some(TOKEN.to_owned()),
         ttl_ms,
         faults,
+        None,
     )
     .expect("bind");
     (server, store, root)

@@ -171,6 +171,22 @@ fn corrupt_records_are_never_served() {
 }
 
 #[test]
+fn one_server_per_store_root() {
+    let (server, store, root) = serve("one-per-root", &[]);
+    let err = Server::bind(Arc::clone(&store), "127.0.0.1:0", 1)
+        .expect_err("a second server on a live root must not bind");
+    assert!(
+        err.to_string().contains(&root.display().to_string()),
+        "the error names the root: {err}"
+    );
+    server.shutdown();
+    let rebound = Server::bind(Arc::clone(&store), "127.0.0.1:0", 1)
+        .expect("a rebind after shutdown succeeds");
+    rebound.shutdown();
+    let _ = fs::remove_dir_all(root);
+}
+
+#[test]
 fn the_service_is_read_only_by_default() {
     let (server, store, root) = serve("readonly", &[("dri", 1, 1, b"x")]);
     assert!(!server.writable());
@@ -203,6 +219,7 @@ fn the_service_is_read_only_by_default() {
         let status = raw_request(server.addr(), &request).0;
         assert_eq!(status, 405, "{request}");
     }
+    server.compact_journal().expect("compact");
     assert_eq!(store.disk_usage(), before, "nothing landed");
     assert_eq!(server.stats().records_accepted, 0);
     // The three write-endpoint attempts (signed PUT, bare PUT,
@@ -271,6 +288,7 @@ fn put_requires_a_valid_token_and_validates_the_record() {
     // request, so a captured header cannot authorize new content.
     let other = auth::sign_hex(token, "PUT", &path, b"other body");
     assert_eq!(raw_put(server.addr(), &path, Some(&other), &record), 401);
+    server.compact_journal().expect("compact");
     assert_eq!(store.disk_usage().records, 0, "nothing landed yet");
     assert_eq!(server.stats().writes_rejected, 4);
 
@@ -388,6 +406,7 @@ fn batch_put_fails_only_the_corrupt_entry() {
     let stats = server.stats();
     assert_eq!(stats.records_accepted, 2);
     assert_eq!(stats.writes_rejected, 2);
+    server.compact_journal().expect("compact");
     assert_eq!(store.load("dri", 1, 1).as_deref(), Some(&b"first"[..]));
     assert_eq!(
         store.load("dri", 1, 2),
@@ -431,6 +450,7 @@ fn batch_put_rejects_structural_damage_and_over_cap_wholesale() {
         String::from_utf8_lossy(&response).starts_with("HTTP/1.1 400"),
         "over-cap batches bounce wholesale"
     );
+    server.compact_journal().expect("compact");
     assert_eq!(store.disk_usage().records, 0);
 
     // A truncated frame stream (signed, authenticated) is also a 400.
@@ -458,6 +478,7 @@ fn batch_put_rejects_structural_damage_and_over_cap_wholesale() {
     let huge = frame_record(1, 11, &vec![0u8; dri_serve::server::MAX_PUSH_RECORD + 1]);
     let (outcomes, _) = remote.push_batch(&[("dri", 1, 10, &good), ("dri", 1, 11, &huge)]);
     assert_eq!(outcomes, vec![PushOutcome::Accepted, PushOutcome::Rejected]);
+    server.compact_journal().expect("compact");
     assert_eq!(store.load("dri", 1, 10).as_deref(), Some(&b"fits"[..]));
     assert_eq!(store.load("dri", 1, 11), None);
 
@@ -504,6 +525,7 @@ fn encoded_bodies_are_refused_and_batches_answer_raw() {
     let (head, response) = raw_exchange(server.addr(), &request);
     assert!(head.starts_with("HTTP/1.1 400"), "{head}");
     assert_eq!(response, b"unsupported body encoding\n");
+    server.compact_journal().expect("compact");
     assert_eq!(store.load("dri", 1, 6), None, "no record landed");
     assert_eq!(server.stats().records_accepted, 0);
 

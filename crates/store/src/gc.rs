@@ -42,7 +42,8 @@
 //! treatment as leases: a live `seg-*.wal` file may hold the only
 //! durable copy of an acked-but-uncompacted record, matches none of the
 //! walker's classes, and is never counted, evicted, or swept — `suite
-//! gc` can run while a journaling server is mid-campaign.
+//! gc` can run while a journaling server is mid-campaign. The journal's
+//! `LOCK` file matches none of them either.
 
 use std::fs;
 use std::path::PathBuf;
@@ -486,7 +487,7 @@ mod tests {
 
     #[test]
     fn gc_spares_live_journal_segments_and_sweeps_compacted_ones() {
-        use crate::journal::{Journal, JournalEntry, JournalOptions};
+        use crate::journal::{Journal, JournalEntry, JournalOptions, JOURNAL_DIR, LOCK_FILE};
 
         let store = temp_store("journal-coexist");
         fill(&store, 2);
@@ -513,6 +514,8 @@ mod tests {
         });
         assert_eq!(report.evicted_records, 2, "records all evicted");
         assert!(!leftover.exists(), "compacted segment debris swept");
+        let lock = store.root().join(JOURNAL_DIR).join(LOCK_FILE);
+        assert!(lock.exists(), "the live journal's lock file is spared");
         // The unsealed segment — the only durable copy of the acked
         // record — is untouched: a reopen still recovers the batch.
         drop(journal);

@@ -57,6 +57,14 @@
 //! leaves debris the GC walker classifies and sweeps ([`crate::gc`]),
 //! while a crash *before* the rename merely re-compacts identical bytes
 //! on the next pass — every step is idempotent.
+//!
+//! ## One journal per root
+//!
+//! A second journal on a live root would adopt the first one's active
+//! segment as sealed during recovery and compact it away while the first
+//! still acks into it. So [`Journal::open`] takes an exclusive lock on
+//! `<store_root>/journal/LOCK` and fails, naming the root, while another
+//! journal holds it. Dropping the journal, or the holding process dying, releases it.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -81,6 +89,9 @@ pub const SEGMENT_SUFFIX: &str = ".wal";
 /// compactor's rename and unlink leaves one behind; the GC walker
 /// sweeps it as debris.
 pub const COMPACTED_SUFFIX: &str = ".wal.compacted";
+/// File under [`JOURNAL_DIR`] whose lock marks the root's one live
+/// journal. The GC walker spares it like a live segment.
+pub(crate) const LOCK_FILE: &str = "LOCK";
 
 /// First bytes of every journal frame.
 const FRAME_MAGIC: [u8; 4] = *b"DRIJ";
@@ -184,6 +195,8 @@ struct Inner {
 #[derive(Debug)]
 pub struct Journal {
     dir: PathBuf,
+    /// Holds the root's exclusive lock for the journal's lifetime.
+    _lock: File,
     options: JournalOptions,
     inner: Mutex<Inner>,
     stats: AtomicJournalStats,
@@ -194,15 +207,32 @@ pub struct Journal {
 impl Journal {
     /// Opens the journal under `store_root`, replaying every existing
     /// segment (in sequence order, stopping each at its first invalid
-    /// frame) into the read index. Fails with `InvalidData`, naming the
-    /// segment and offset, on a checksum-valid frame with unknown flags
-    /// (see the module docs).
+    /// frame) into the read index. Fails with `ResourceBusy`, naming the
+    /// root, while another journal holds the root's lock, and with
+    /// `InvalidData`, naming the segment and offset, on a checksum-valid
+    /// frame with unknown flags (see the module docs).
     pub fn open(store_root: &Path, options: JournalOptions) -> io::Result<Journal> {
         let dir = store_root.join(JOURNAL_DIR);
         fs::create_dir_all(&dir)?;
+        let lock = OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(dir.join(LOCK_FILE))?;
+        lock.try_lock().map_err(|err| match err {
+            fs::TryLockError::WouldBlock => io::Error::new(
+                io::ErrorKind::ResourceBusy,
+                format!(
+                    "store root {} is locked by another live journal",
+                    store_root.display()
+                ),
+            ),
+            fs::TryLockError::Error(err) => err,
+        })?;
         let registry = Registry::global();
         let journal = Journal {
             dir,
+            _lock: lock,
             options,
             inner: Mutex::new(Inner::default()),
             stats: AtomicJournalStats::default(),
@@ -592,6 +622,7 @@ mod tests {
         let mut names: Vec<String> = fs::read_dir(root.join(JOURNAL_DIR))
             .map(|dir| {
                 dir.filter_map(|e| e.ok()?.file_name().into_string().ok())
+                    .filter(|name| name != LOCK_FILE)
                     .collect()
             })
             .unwrap_or_default();
@@ -626,6 +657,26 @@ mod tests {
             reopened.lookup("decay", 1, 1).as_deref().map(|p| &p[..]),
             Some(&b"other kind"[..])
         );
+        let _ = fs::remove_dir_all(root);
+    }
+
+    #[test]
+    fn a_second_journal_on_a_live_root_fails_until_the_first_drops() {
+        let root = temp_root("lock");
+        let journal = Journal::open(&root, JournalOptions::default()).expect("open");
+        journal
+            .append_batch(vec![entry("dri", 1, b"live")])
+            .unwrap();
+        let err = Journal::open(&root, JournalOptions::default())
+            .expect_err("a second journal on a live root must not open");
+        assert_eq!(err.kind(), io::ErrorKind::ResourceBusy);
+        assert!(
+            err.to_string().contains(&root.display().to_string()),
+            "the error names the root: {err}"
+        );
+        drop(journal);
+        let reopened = Journal::open(&root, JournalOptions::default()).expect("reopen after drop");
+        assert_eq!(reopened.stats().recovered, 1);
         let _ = fs::remove_dir_all(root);
     }
 

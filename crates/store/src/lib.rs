@@ -91,7 +91,8 @@
 //! record files. Torn or corrupted frames are dropped whole at
 //! recovery — an unacked batch can never surface a partial record.
 //! Live `.wal` segments are invisible to the GC walker; drained
-//! `.wal.compacted` debris is swept.
+//! `.wal.compacted` debris is swept. A root has at most one live
+//! journal: `Journal::open` locks `<root>/journal/LOCK`.
 //!
 //! ## One encoding
 //!
