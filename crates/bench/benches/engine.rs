@@ -11,7 +11,7 @@
 //!   cost once the `SimSession` layer absorbs them.
 //! * `telemetry/*` — the same warm hit on a timed session
 //!   (`SimSession::builder().timed(true).build()`): the span + per-tier histogram
-//!   overhead a `DRI_TIMING`/`DRI_TRACE` run adds to the hot path.
+//!   overhead a timed (`suite`) or `DRI_TRACE` run adds to the hot path.
 //! * `store/*` — the disk tier: a fresh session per iteration (a cold
 //!   memory cache, as in a new process) loading the point from a warmed
 //!   `ResultStore` — key hash + file read + checksum + decode, the cost
@@ -33,7 +33,8 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dri_experiments::runner::{run_conventional_uncached, run_dri_uncached};
 use dri_experiments::{
-    compare, run_conventional, run_dri, RemoteStore, ResultStore, RunConfig, SimSession,
+    compare, run_conventional, run_dri, RemoteStore, ResultStore, RunConfig, ShardedStore,
+    SimSession,
 };
 use std::hint::black_box;
 use std::sync::Arc;
@@ -59,7 +60,7 @@ fn bench_engine(c: &mut Criterion) {
         b.iter(|| black_box(run_dri(black_box(&cfg))))
     });
     // The same warm hit on a *timed* session (what `suite` and any
-    // DRI_TRACE/DRI_TIMING run pay): two clock reads + a histogram
+    // DRI_TRACE run pay): two clock reads + a histogram
     // record per lookup, the whole telemetry overhead on the hot path.
     let timed = SimSession::builder().timed(true).build();
     timed.policy_run(&cfg);
@@ -104,7 +105,7 @@ fn bench_engine(c: &mut Criterion) {
     group.bench_function("remote/run_dri_remote_hit/compress_quick", |b| {
         b.iter(|| {
             let session = SimSession::builder()
-                .remote(RemoteStore::new(addr.clone()))
+                .sharded(ShardedStore::single(RemoteStore::new(addr.clone())))
                 .build();
             black_box(session.policy_run(black_box(&cfg)))
         })
@@ -128,7 +129,7 @@ fn bench_engine(c: &mut Criterion) {
     group.bench_function("remote/grid_per_record_hits/compress_quick", |b| {
         b.iter(|| {
             let session = SimSession::builder()
-                .remote(RemoteStore::new(addr.clone()))
+                .sharded(ShardedStore::single(RemoteStore::new(addr.clone())))
                 .build();
             for point in &grid {
                 black_box(session.conventional(black_box(point)));
@@ -139,7 +140,7 @@ fn bench_engine(c: &mut Criterion) {
     group.bench_function("remote/grid_prefetch_batch/compress_quick", |b| {
         b.iter(|| {
             let session = SimSession::builder()
-                .remote(RemoteStore::new(addr.clone()))
+                .sharded(ShardedStore::single(RemoteStore::new(addr.clone())))
                 .build();
             black_box(session.prefetch(&grid));
             for point in &grid {

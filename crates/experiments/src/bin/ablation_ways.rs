@@ -16,7 +16,7 @@ fn main() {
         "~quantifies the design argument of section 2 of Yang et al., HPCA 2001",
     );
     let grid = space();
-    let rows = for_each_benchmark(|b| {
+    let rows = for_each_benchmark(&dri_experiments::config().benchmarks, |b| {
         // Tune on the 4-way geometry, then run both resizing styles with
         // the same feedback parameters against the same 4-way baseline.
         let mut base = base_config(b);

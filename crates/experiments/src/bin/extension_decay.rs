@@ -33,7 +33,7 @@ fn main() {
     );
     let grid = space();
     let decay_intervals: [u64; 2] = [32 * 1024, 256 * 1024];
-    let rows = for_each_benchmark(|b| {
+    let rows = for_each_benchmark(&dri_experiments::config().benchmarks, |b| {
         let base = base_config(b);
         let sr = search_benchmark(&base, &grid);
         let mut tuned = base.clone();

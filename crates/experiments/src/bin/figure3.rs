@@ -4,5 +4,5 @@
 //! `dri_experiments::figures` so the `suite` batch runner can share it.)
 
 fn main() {
-    dri_experiments::figures::figure3();
+    dri_experiments::figures::figure3(&dri_experiments::config().benchmarks);
 }

@@ -3,5 +3,5 @@
 //! suite body lives in `dri_experiments::figures`.)
 
 fn main() {
-    dri_experiments::figures::figure5();
+    dri_experiments::figures::figure5(&dri_experiments::config().benchmarks);
 }

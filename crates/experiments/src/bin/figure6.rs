@@ -4,5 +4,5 @@
 //! `dri_experiments::figures`.)
 
 fn main() {
-    dri_experiments::figures::figure6();
+    dri_experiments::figures::figure6(&dri_experiments::config().benchmarks);
 }

@@ -2,5 +2,5 @@
 //! wrapper — the suite body lives in `dri_experiments::figures`.)
 
 fn main() {
-    dri_experiments::figures::section5_6();
+    dri_experiments::figures::section5_6(&dri_experiments::config().benchmarks);
 }

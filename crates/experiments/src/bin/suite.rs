@@ -1,7 +1,9 @@
 //! The manifest-driven batch runner: any subset of the paper's figures
 //! and tables as one declarative plan, executed in a single process so
 //! every job shares the warm `SimSession` (and, with `DRI_STORE`, the
-//! cross-process result store).
+//! cross-process result store). Settings layer onto one
+//! [`dri_experiments::Config`]: command line over manifest over
+//! environment.
 //!
 //! ```text
 //! suite                          # run everything (same as `suite all`)
@@ -18,12 +20,13 @@
 
 use std::process::ExitCode;
 
-use dri_experiments::harness::{quick_mode, selected_benchmarks, BENCHMARKS_ENV};
+use dri_experiments::config::{self, Config, PREFETCH_ENV, PUSH_ENV, STEAL_ENV};
 use dri_experiments::manifest::{self, Job, Manifest};
 use dri_experiments::report::Table;
 use dri_experiments::SimSession;
 use dri_store::{GcPolicy, ResultStore};
 use dri_telemetry::Span;
+use synth_workload::suite::Benchmark;
 
 const USAGE: &str = "\
 usage: suite [--manifest FILE] [--store-stats] [--[no-]prefetch] [--[no-]push]
@@ -42,12 +45,12 @@ options:
                     tiers up front (one chunked POST /batch round-trip for
                     the remote remainder); this is the default
   --no-prefetch     restore per-point tier lookups
-  --push            push locally simulated records to the DRI_REMOTE
-                    service after each sweep (requires the server to hold
+  --push            push locally simulated records to the DRI_SHARDS
+                    fleet after each sweep (requires the servers to hold
                     the matching DRI_TOKEN); off by default
   --no-push         keep simulated records local (the default)
   --steal           join a lease-based work-stealing campaign: claim
-                    benchmark-sized units from the DRI_REMOTE scheduler,
+                    benchmark-sized units from the DRI_SHARDS scheduler,
                     simulate only what is claimed, push the records, and
                     reclaim units abandoned by dead workers (implies
                     --push unless push is explicitly off)
@@ -63,19 +66,22 @@ gc subcommand (garbage-collect a result store):
                     generations
   --dry-run         report what would be evicted without deleting anything
 
-environment: DRI_QUICK, DRI_THREADS, DRI_STORE, DRI_REMOTE, DRI_PREFETCH,
-DRI_PUSH, DRI_STEAL, DRI_WORKER, DRI_TOKEN, DRI_POLICY, DRI_BENCHMARKS
-(see README); a manifest's
-`quick/threads/store/remote/prefetch/push/steal/policy/benchmarks`
-options set the same variables (the token deliberately has no manifest
-spelling — a secret does not belong in a reviewable plan file).";
+environment: DRI_QUICK, DRI_THREADS, DRI_STORE, DRI_SHARDS, DRI_REPLICAS,
+DRI_PREFETCH, DRI_PUSH, DRI_STEAL, DRI_WORKER, DRI_TOKEN, DRI_POLICY,
+DRI_BENCHMARKS, DRI_TRACE (see README). A malformed value warns and its
+default is used. A manifest's
+`quick/threads/store/shards/prefetch/push/steal/policy/benchmarks`
+options override the same variables, strictly (a malformed value is an
+error), and the --[no-]prefetch/push/steal flags override both. The
+token deliberately has no manifest spelling: a secret does not belong
+in a reviewable plan file.";
 
 struct CliArgs {
     manifest_path: Option<String>,
     store_stats: bool,
-    prefetch: Option<bool>,
-    push: Option<bool>,
-    steal: Option<bool>,
+    /// `(variable, value)` settings from the `--[no-]prefetch/push/steal`
+    /// flags, in order.
+    settings: Vec<(&'static str, &'static str)>,
     list: bool,
     jobs: Vec<Job>,
 }
@@ -84,9 +90,7 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
     let mut parsed = CliArgs {
         manifest_path: None,
         store_stats: false,
-        prefetch: None,
-        push: None,
-        steal: None,
+        settings: Vec::new(),
         list: false,
         jobs: Vec::new(),
     };
@@ -98,12 +102,12 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
                 parsed.manifest_path = Some(path.clone());
             }
             "--store-stats" => parsed.store_stats = true,
-            "--prefetch" => parsed.prefetch = Some(true),
-            "--no-prefetch" => parsed.prefetch = Some(false),
-            "--push" => parsed.push = Some(true),
-            "--no-push" => parsed.push = Some(false),
-            "--steal" => parsed.steal = Some(true),
-            "--no-steal" => parsed.steal = Some(false),
+            "--prefetch" => parsed.settings.push((PREFETCH_ENV, "on")),
+            "--no-prefetch" => parsed.settings.push((PREFETCH_ENV, "off")),
+            "--push" => parsed.settings.push((PUSH_ENV, "on")),
+            "--no-push" => parsed.settings.push((PUSH_ENV, "off")),
+            "--steal" => parsed.settings.push((STEAL_ENV, "on")),
+            "--no-steal" => parsed.settings.push((STEAL_ENV, "off")),
             "--list" => parsed.list = true,
             "--help" | "-h" => return Err(String::new()),
             "all" => parsed.jobs.extend(Job::all()),
@@ -119,29 +123,28 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
     Ok(parsed)
 }
 
-/// Builds the run plan: CLI jobs and a manifest file compose (manifest
-/// options always apply, except that an explicit `--[no-]prefetch` /
-/// `--[no-]push` / `--[no-]steal` flag overrides the manifest's
-/// `prefetch =` / `push =` / `steal =`; explicit CLI jobs run after the
-/// manifest's).
-fn build_plan(args: &CliArgs) -> Result<Manifest, String> {
+/// Layers the settings (command line over manifest over environment)
+/// and builds the job list: CLI jobs run after the manifest's, and a
+/// plan with no jobs runs `all`.
+fn build_plan(args: &CliArgs) -> Result<(Config, Manifest), String> {
+    let (mut config, warnings) = Config::from_env();
+    for warning in warnings {
+        eprintln!("warning: {warning}");
+    }
     let mut plan = match &args.manifest_path {
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read manifest `{path}`: {e}"))?;
-            manifest::parse(&text).map_err(|e| e.to_string())?
+            manifest::parse(&text, &mut config).map_err(|e| e.to_string())?
         }
         None => Manifest::default(),
     };
-    if args.prefetch.is_some() {
-        plan.options.prefetch = args.prefetch;
+    for (name, value) in &args.settings {
+        config.set(name, value)?;
     }
-    if args.push.is_some() {
-        plan.options.push = args.push;
-    }
-    if args.steal.is_some() {
-        plan.options.steal = args.steal;
-    }
+    // The summary's wall-times and per-tier latency table both come from
+    // telemetry spans: one clock for the whole report.
+    config.timed = true;
     for &job in &args.jobs {
         plan.push_job(job);
     }
@@ -150,39 +153,7 @@ fn build_plan(args: &CliArgs) -> Result<Manifest, String> {
             plan.push_job(job);
         }
     }
-    Ok(plan)
-}
-
-/// Applies plan options by exporting the corresponding `DRI_*` variables
-/// (before any worker thread or the global session exists).
-fn apply_options(plan: &Manifest) {
-    if let Some(quick) = plan.options.quick {
-        std::env::set_var("DRI_QUICK", if quick { "1" } else { "0" });
-    }
-    if let Some(threads) = plan.options.threads {
-        std::env::set_var("DRI_THREADS", threads.to_string());
-    }
-    if let Some(store) = &plan.options.store {
-        std::env::set_var("DRI_STORE", store);
-    }
-    if let Some(remote) = &plan.options.remote {
-        std::env::set_var("DRI_REMOTE", remote);
-    }
-    if let Some(prefetch) = plan.options.prefetch {
-        std::env::set_var("DRI_PREFETCH", if prefetch { "1" } else { "0" });
-    }
-    if let Some(push) = plan.options.push {
-        std::env::set_var("DRI_PUSH", if push { "1" } else { "0" });
-    }
-    if let Some(steal) = plan.options.steal {
-        std::env::set_var(dri_experiments::STEAL_ENV, if steal { "1" } else { "0" });
-    }
-    if let Some(policy) = &plan.options.policy {
-        std::env::set_var(dri_experiments::harness::POLICY_ENV, policy);
-    }
-    if let Some(benchmarks) = &plan.options.benchmarks {
-        std::env::set_var("DRI_BENCHMARKS", benchmarks);
-    }
+    Ok((config, plan))
 }
 
 /// Parses a byte count with optional binary suffix: `64`, `512K`, `2M`, `1G`.
@@ -200,7 +171,7 @@ fn parse_bytes(raw: &str) -> Option<u64> {
 /// The `suite gc` subcommand: age/size-budget garbage collection of a
 /// result store, with a report-only dry-run mode.
 fn run_gc(args: &[String]) -> Result<(), String> {
-    let mut root: Option<String> = std::env::var("DRI_STORE").ok().filter(|s| !s.is_empty());
+    let mut root: Option<String> = config::config().fleet.store.clone();
     let mut policy = GcPolicy::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -260,36 +231,33 @@ fn run_gc(args: &[String]) -> Result<(), String> {
 /// reclaimed and re-run; the deterministic simulator makes the replay
 /// bit-identical. Non-simulating jobs (the closed-form tables) run
 /// locally once — they are cheap and keep this worker's stdout useful.
-fn run_steal(plan: &Manifest, session: &SimSession) -> Result<(), String> {
+fn run_steal(plan: &Manifest, session: &SimSession, config: &Config) -> Result<(), String> {
     let Some(remote) = session.remote() else {
         return Err(
-            "--steal needs a scheduler: set DRI_REMOTE (or `remote =` in the manifest) \
+            "--steal needs a scheduler: set DRI_SHARDS (or `shards =` in the manifest) \
              to a dri-serve address"
                 .to_owned(),
         );
     };
     for job in plan.jobs.iter().filter(|j| !j.simulates()) {
         eprintln!("suite: [steal] running non-simulating job {job} locally");
-        job.run();
+        job.run(&config.benchmarks);
     }
     let sim_jobs: Vec<Job> = plan.jobs.iter().copied().filter(Job::simulates).collect();
     if sim_jobs.is_empty() {
         eprintln!("suite: [steal] no simulating jobs in the plan — nothing to lease");
         return Ok(());
     }
-    // Stealing without pushing would strand every simulated record on
-    // this worker and force the next claimant to redo it, so steal
-    // implies push unless push was explicitly switched off.
-    if plan.options.push.is_none() && std::env::var_os("DRI_PUSH").is_none() {
+    if config.push.is_none() {
         eprintln!(
             "suite: [steal] enabling write-through push (pass --no-push to keep records local)"
         );
-        std::env::set_var("DRI_PUSH", "1");
     }
     let sim_names: Vec<&str> = sim_jobs.iter().map(Job::name).collect();
-    let campaign = dri_experiments::campaign_id(&sim_names, quick_mode());
-    let worker = dri_experiments::worker_name();
-    let units: Vec<String> = selected_benchmarks()
+    let campaign = dri_experiments::campaign_id(&sim_names, config.quick);
+    let worker = &config.worker;
+    let units: Vec<String> = config
+        .benchmarks
         .iter()
         .map(|b| b.name().to_owned())
         .collect();
@@ -304,11 +272,16 @@ fn run_steal(plan: &Manifest, session: &SimSession) -> Result<(), String> {
         units.len(),
         sim_jobs.len()
     );
-    let outcome = dri_experiments::drain(control, &campaign, &units, &worker, |unit| {
-        std::env::set_var(BENCHMARKS_ENV, unit);
+    let outcome = dri_experiments::drain(control, &campaign, &units, worker, |unit| {
+        // The scheduler names the unit; one seeded by another program
+        // may not be a benchmark at all.
+        let Some(benchmark) = Benchmark::all().into_iter().find(|b| b.name() == unit) else {
+            eprintln!("suite: [{worker}] unit `{unit}` is not a benchmark; skipping it");
+            return;
+        };
         eprintln!("suite: [{worker}] unit `{unit}` ...");
         for job in &sim_jobs {
-            job.run();
+            job.run(&[benchmark]);
         }
         session.push_pending();
     })?;
@@ -359,22 +332,15 @@ fn main() -> ExitCode {
         print!("{}", t.render());
         return ExitCode::SUCCESS;
     }
-    let plan = match build_plan(&args) {
-        Ok(plan) => plan,
+    let (config, plan) = match build_plan(&args) {
+        Ok(built) => built,
         Err(msg) => {
             eprintln!("error: {msg}");
             return ExitCode::FAILURE;
         }
     };
-    apply_options(&plan);
-
-    // The summary's wall-times and the per-tier latency table both come
-    // from telemetry spans — switch lookup timing on (one clock for the
-    // whole report) before the global session resolves it. An explicit
-    // DRI_TIMING from the caller wins.
-    if std::env::var_os(dri_telemetry::TIMING_ENV).is_none() {
-        std::env::set_var(dri_telemetry::TIMING_ENV, "1");
-    }
+    config::install(config);
+    let config = config::config();
 
     let session = SimSession::global();
     let names: Vec<&str> = plan.jobs.iter().map(Job::name).collect();
@@ -382,7 +348,7 @@ fn main() -> ExitCode {
         "suite: {} job(s) [{}]{}{}{}",
         plan.jobs.len(),
         names.join(", "),
-        if quick_mode() { ", quick mode" } else { "" },
+        if config.quick { ", quick mode" } else { "" },
         match session.store() {
             Some(store) => format!(", store at {}", store.root().display()),
             None => ", no result store (set DRI_STORE to enable)".to_owned(),
@@ -391,7 +357,7 @@ fn main() -> ExitCode {
             Some(remote) => format!(
                 ", remote at http://{}{}",
                 remote.describe(),
-                if dri_experiments::push_enabled() {
+                if config.push() {
                     " (write-through push)"
                 } else {
                     ""
@@ -401,8 +367,8 @@ fn main() -> ExitCode {
         }
     );
 
-    if dri_experiments::steal_enabled() {
-        return match run_steal(&plan, session) {
+    if config.steal {
+        return match run_steal(&plan, session, config) {
             Ok(()) => {
                 let stats = session.stats();
                 eprintln!(
@@ -429,7 +395,7 @@ fn main() -> ExitCode {
         let before = session.stats();
         eprintln!("suite: [{}/{}] {} ...", i + 1, plan.jobs.len(), job);
         let span = Span::begin("job", job.name());
-        job.run();
+        job.run(&config.benchmarks);
         let secs = span.finish("done").as_secs_f64();
         let after = session.stats();
         timings.push((

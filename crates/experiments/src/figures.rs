@@ -13,13 +13,15 @@
 //! Every search and sweep grid below batch-prefetches its key plan
 //! through the session's cache tiers before fanning out (see
 //! [`crate::session::SimSession::prefetch`]): on a worker with
-//! `DRI_REMOTE` set, Figure 3's entire cross-benchmark grid arrives in
+//! `DRI_SHARDS` set, Figure 3's entire cross-benchmark grid arrives in
 //! one `POST /batch` round-trip, and Figures 4–6/§5.6 plan each sweep's
 //! points the same way.
+//!
+//! Every simulating suite covers the `benchmarks` it is given, in that
+//! order: the binaries pass [`crate::config::Config::benchmarks`], and a
+//! `suite --steal` worker passes the one benchmark it claimed.
 
-use crate::harness::{
-    banner, base_config, for_each_benchmark, selected_benchmarks, space, threads,
-};
+use crate::harness::{banner, base_config, for_each_benchmark, space, threads};
 use crate::published;
 use crate::report::{kbytes, pct, Table};
 use crate::search::{grid_configs, search_all, search_benchmark};
@@ -37,49 +39,52 @@ fn sweep_cell(c: &Comparison) -> String {
     format!("{:.2} ({}{mark})", c.relative_energy_delay, pct(c.slowdown))
 }
 
-/// Tunes `base` to the benchmark's performance-constrained best
-/// (miss-bound, size-bound) — the starting point of every Figure 4–6
-/// sweep.
-fn constrained_base(b: Benchmark) -> crate::RunConfig {
-    let base = base_config(b);
+/// Tunes `base` to its performance-constrained best (miss-bound,
+/// size-bound) — from [`base_config`], the starting point of every
+/// Figure 4–6 sweep.
+fn tuned(mut base: crate::RunConfig) -> crate::RunConfig {
     let sr = search_benchmark(&base, &space());
-    let mut tuned = base.clone();
-    tuned.dri.miss_bound = sr.constrained.miss_bound;
-    tuned.dri.size_bound_bytes = sr.constrained.size_bound_bytes;
-    tuned
+    base.dri.miss_bound = sr.constrained.miss_bound;
+    base.dri.size_bound_bytes = sr.constrained.size_bound_bytes;
+    base
 }
 
-/// Batch-prefetches everything a Figure 4–6/§5.6 sweep campaign will
-/// touch, before the per-benchmark fan-out starts. Until this hook
-/// existed, only figure3's `search_all` planned its whole campaign in
-/// one pass — the sweep figures prefetched per benchmark, costing a
-/// cold worker one batch round-trip per benchmark instead of one per
-/// campaign (and a `--steal` worker one per claimed unit per sweep).
+/// Batch-prefetches everything a Figure 4–6/§5.6 sweep campaign (or the
+/// policy shoot-out) will touch, before the per-benchmark fan-out
+/// starts. Until this hook existed, only figure3's `search_all` planned
+/// its whole campaign in one pass — the sweep figures prefetched per
+/// benchmark, costing a cold worker one batch round-trip per benchmark
+/// instead of one per campaign (and a `--steal` worker one per claimed
+/// unit per sweep).
 ///
 /// Two phases, because the sweep points are only known once the search
 /// is resolved:
 ///
-/// 1. the search grids that determine every selected benchmark's
-///    constrained base are planned as **one** cross-benchmark pass (the
-///    same records figure3's `search_all` plans, so an in-process or
-///    fleet-warm campaign resolves them from memory or one round-trip);
+/// 1. the search grids around every benchmark's `base` that determine
+///    its tuned base are planned as **one** cross-benchmark pass (for
+///    [`base_config`], the same records figure3's `search_all` plans, so
+///    an in-process or fleet-warm campaign resolves them from memory or
+///    one round-trip);
 /// 2. the tuned bases are computed (pure replay after phase 1 when the
 ///    store is warm) and every sweep point around them — enumerated by
 ///    `points`, e.g. [`miss_bound_grid`] — is planned as one more pass.
 ///
 /// A no-op when prefetch is disabled (`DRI_PREFETCH=0`): the per-point
 /// lookups inside the sweeps then behave exactly as before.
-fn prefetch_sweep_campaign(points: impl Fn(&crate::RunConfig) -> Vec<crate::RunConfig> + Sync) {
-    if !crate::session::prefetch_enabled() {
+fn prefetch_sweep_campaign(
+    benchmarks: &[Benchmark],
+    base: impl Fn(Benchmark) -> crate::RunConfig + Sync,
+    points: impl Fn(&crate::RunConfig) -> Vec<crate::RunConfig> + Sync,
+) {
+    if !crate::config::config().prefetch {
         return;
     }
-    let benchmarks = selected_benchmarks();
     let search_grid: Vec<crate::RunConfig> = benchmarks
         .iter()
-        .flat_map(|&b| grid_configs(&base_config(b), &space()))
+        .flat_map(|&b| grid_configs(&base(b), &space()))
         .collect();
     crate::session::prefetch_grid(&search_grid);
-    let bases = crate::harness::parallel_map(&benchmarks, |&b| constrained_base(b));
+    let bases = crate::harness::parallel_map(benchmarks, |&b| tuned(base(b)));
     let sweep_grid: Vec<crate::RunConfig> = bases.iter().flat_map(&points).collect();
     crate::session::prefetch_grid(&sweep_grid);
 }
@@ -87,7 +92,7 @@ fn prefetch_sweep_campaign(points: impl Fn(&crate::RunConfig) -> Vec<crate::RunC
 /// Figure 3: base energy-delay and average cache size, performance-
 /// constrained (≤4% slowdown) and performance-unconstrained, for all
 /// fifteen benchmarks.
-pub fn figure3() {
+pub fn figure3(benchmarks: &[Benchmark]) {
     banner(
         "Figure 3: base energy-delay and average cache size measurements",
         "Figure 3 and section 5.3",
@@ -96,7 +101,7 @@ pub fn figure3() {
         "searching miss-bound x size-bound per benchmark on {} threads...",
         threads()
     );
-    let results = search_all(base_config, &space(), threads());
+    let results = search_all(benchmarks, base_config, &space());
     let paper = published::figure3();
 
     let case_cells = |c: &Comparison| -> [String; 6] {
@@ -183,11 +188,11 @@ pub fn figure3() {
 
 /// Figure 4: impact of varying the miss-bound (0.5x, 1x, 2x of each
 /// benchmark's performance-constrained base value).
-pub fn figure4() {
+pub fn figure4(benchmarks: &[Benchmark]) {
     banner("Figure 4: impact of varying the miss-bound", "Figure 4");
-    prefetch_sweep_campaign(miss_bound_grid);
+    prefetch_sweep_campaign(benchmarks, base_config, miss_bound_grid);
     let rows: Vec<(Benchmark, MissBoundSweep)> =
-        for_each_benchmark(|b| miss_bound_sweep(&constrained_base(b)));
+        for_each_benchmark(benchmarks, |b| miss_bound_sweep(&tuned(base_config(b))));
 
     let mut t = Table::new([
         "benchmark",
@@ -217,12 +222,12 @@ pub fn figure4() {
 
 /// Figure 5: impact of varying the size-bound (2x, 1x, 0.5x of each
 /// benchmark's performance-constrained base value).
-pub fn figure5() {
+pub fn figure5(benchmarks: &[Benchmark]) {
     banner("Figure 5: impact of varying the size-bound", "Figure 5");
     let opt_cell = |c: &Option<Comparison>| c.as_ref().map_or("N/A".to_owned(), sweep_cell);
-    prefetch_sweep_campaign(size_bound_grid);
+    prefetch_sweep_campaign(benchmarks, base_config, size_bound_grid);
     let rows: Vec<(Benchmark, SizeBoundSweep)> =
-        for_each_benchmark(|b| size_bound_sweep(&constrained_base(b)));
+        for_each_benchmark(benchmarks, |b| size_bound_sweep(&tuned(base_config(b))));
 
     let mut t = Table::new([
         "benchmark",
@@ -254,14 +259,14 @@ pub fn figure5() {
 /// Figure 6: varying conventional cache parameters — 64K 4-way vs 64K
 /// direct-mapped vs 128K direct-mapped (each normalized to a conventional
 /// cache of equivalent geometry).
-pub fn figure6() {
+pub fn figure6(benchmarks: &[Benchmark]) {
     banner(
         "Figure 6: varying conventional cache parameters (A: 64K 4-way, B: 64K DM, C: 128K DM)",
         "Figure 6 and section 5.5",
     );
-    prefetch_sweep_campaign(geometry_grid);
+    prefetch_sweep_campaign(benchmarks, base_config, geometry_grid);
     let rows: Vec<(Benchmark, GeometrySweep)> =
-        for_each_benchmark(|b| geometry_sweep(&constrained_base(b)));
+        for_each_benchmark(benchmarks, |b| geometry_sweep(&tuned(base_config(b))));
 
     let mut t = Table::new([
         "benchmark",
@@ -445,12 +450,12 @@ pub fn table2() {
 }
 
 /// §5.6: sense-interval length and divisibility robustness.
-pub fn section5_6() {
+pub fn section5_6(benchmarks: &[Benchmark]) {
     banner(
         "Section 5.6: varying sense-interval length and divisibility",
         "section 5.6",
     );
-    prefetch_sweep_campaign(|tuned| {
+    prefetch_sweep_campaign(benchmarks, base_config, |tuned| {
         let base_si = tuned.dri.sense_interval;
         let mut grid = interval_grid(
             tuned,
@@ -460,8 +465,8 @@ pub fn section5_6() {
         grid
     });
     type Rows = (Vec<(u64, Comparison)>, Vec<(u32, Comparison)>);
-    let rows: Vec<(Benchmark, Rows)> = for_each_benchmark(|b| {
-        let tuned = constrained_base(b);
+    let rows: Vec<(Benchmark, Rows)> = for_each_benchmark(benchmarks, |b| {
+        let tuned = tuned(base_config(b));
         let base_si = tuned.dri.sense_interval;
         let intervals = interval_sweep(
             &tuned,
@@ -508,13 +513,13 @@ pub fn section5_6() {
     );
 }
 
-/// The paper's base tuned to the 64K 4-way geometry — the one geometry
-/// every leakage policy can exercise (way-granular policies need ways to
-/// gate; the DRI cache resizes sets either way). The search runs under
-/// the DRI feedback loop regardless of any ambient `DRI_POLICY`, so all
-/// four policies below start from the *same* tuned (miss-bound,
-/// size-bound) point and the comparison isolates the policy itself.
-fn tuned_four_way(b: Benchmark) -> crate::RunConfig {
+/// The paper's base on the 64K 4-way geometry — the one geometry every
+/// leakage policy can exercise (way-granular policies need ways to gate;
+/// the DRI cache resizes sets either way). It is tuned under the DRI
+/// feedback loop regardless of any ambient `DRI_POLICY`, so all four
+/// policies below start from the *same* tuned (miss-bound, size-bound)
+/// point and the comparison isolates the policy itself.
+fn four_way_base(b: Benchmark) -> crate::RunConfig {
     let mut base = base_config(b);
     base.policy = None;
     base.dri = DriConfig {
@@ -523,9 +528,6 @@ fn tuned_four_way(b: Benchmark) -> crate::RunConfig {
         sense_interval: base.dri.sense_interval,
         ..DriConfig::hpca01_64k_4way()
     };
-    let sr = search_benchmark(&base, &space());
-    base.dri.miss_bound = sr.constrained.miss_bound;
-    base.dri.size_bound_bytes = sr.constrained.size_bound_bytes;
     base
 }
 
@@ -552,37 +554,17 @@ fn policy_variants(tuned: &crate::RunConfig) -> Vec<crate::RunConfig> {
 /// Policy shoot-out: the paper's gated-Vdd DRI cache against cache decay,
 /// Albonesi-style way resizing, and way memoization, side by side on the
 /// 64K 4-way geometry from one tuned starting point per benchmark.
-pub fn policies() {
+pub fn policies(benchmarks: &[Benchmark]) {
     banner(
         "Policy shoot-out: DRI vs decay vs way-resizing vs way-memoization",
         "~sweeps the leakage policies of section 2's design space side by side",
     );
-    if crate::session::prefetch_enabled() {
-        let benchmarks = selected_benchmarks();
-        let search_grid: Vec<crate::RunConfig> = benchmarks
-            .iter()
-            .flat_map(|&b| {
-                let mut base = base_config(b);
-                base.policy = None;
-                base.dri = DriConfig {
-                    miss_bound: base.dri.miss_bound,
-                    size_bound_bytes: base.dri.size_bound_bytes,
-                    sense_interval: base.dri.sense_interval,
-                    ..DriConfig::hpca01_64k_4way()
-                };
-                grid_configs(&base, &space())
-            })
-            .collect();
-        crate::session::prefetch_grid(&search_grid);
-        let bases = crate::harness::parallel_map(&benchmarks, |&b| tuned_four_way(b));
-        let sweep_grid: Vec<crate::RunConfig> = bases.iter().flat_map(policy_variants).collect();
-        crate::session::prefetch_grid(&sweep_grid);
-    }
+    prefetch_sweep_campaign(benchmarks, four_way_base, policy_variants);
 
-    let rows: Vec<(Benchmark, Vec<Comparison>)> = for_each_benchmark(|b| {
-        let tuned = tuned_four_way(b);
-        let baseline = crate::run_conventional(&tuned);
-        policy_variants(&tuned)
+    let rows: Vec<(Benchmark, Vec<Comparison>)> = for_each_benchmark(benchmarks, |b| {
+        let four_way = tuned(four_way_base(b));
+        let baseline = crate::run_conventional(&four_way);
+        policy_variants(&four_way)
             .iter()
             .map(|cfg| {
                 let run = crate::run_policy(cfg);

@@ -1,50 +1,17 @@
 //! Shared plumbing for the experiment binaries.
 
+use crate::config::config;
 use crate::runner::RunConfig;
 use crate::search::SearchSpace;
 use dri_core::PolicyConfig;
 use synth_workload::suite::Benchmark;
 
-/// Whether quick mode is enabled (`DRI_QUICK=1`): smaller search grids and
-/// shorter runs, for smoke-testing the harness.
-pub fn quick_mode() -> bool {
-    std::env::var_os("DRI_QUICK").is_some_and(|v| v != "0")
-}
-
-/// Worker threads to use for benchmark- and sweep-level parallelism.
-///
-/// Defaults to the machine's available parallelism; `DRI_THREADS=n`
-/// overrides it (`DRI_THREADS=1` forces fully serial execution, which is
-/// also the automatic behaviour on single-core hosts; `0` is clamped to
-/// `1` as it always was). A value that does not parse as an integer is
-/// **rejected with a warning** (once per process) rather than silently
-/// ignored — a typo like `DRI_THREADS=4x` used to fall back to all cores
-/// without a trace.
+/// Worker threads to use for benchmark- and sweep-level parallelism:
+/// `DRI_THREADS`, else the machine's available parallelism
+/// (`DRI_THREADS=1` forces fully serial execution, which is also the
+/// automatic behaviour on single-core hosts).
 pub fn threads() -> usize {
-    match std::env::var("DRI_THREADS") {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(n) => return n.max(1),
-            Err(_) => warn_bad_threads(&raw),
-        },
-        Err(std::env::VarError::NotUnicode(raw)) => {
-            warn_bad_threads(&raw.to_string_lossy());
-        }
-        Err(std::env::VarError::NotPresent) => {}
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Warns (once) that `DRI_THREADS` was set to something unusable.
-fn warn_bad_threads(raw: &str) {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    WARNED.call_once(|| {
-        eprintln!(
-            "warning: DRI_THREADS={raw:?} is not an integer; \
-             falling back to the machine's available parallelism"
-        );
-    });
+    config().fleet.threads
 }
 
 /// Workers currently spawned by [`parallel_map`] across the process, so
@@ -62,19 +29,9 @@ static ACTIVE_WORKERS: std::sync::atomic::AtomicUsize = std::sync::atomic::Atomi
 /// Work is claimed from a shared atomic cursor, so uneven item costs
 /// (a thrashing sweep point next to a quiet one) still pack tightly.
 pub fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    parallel_map_capped(threads(), items, f)
-}
-
-/// [`parallel_map`] with an explicit worker cap (still bounded by the
-/// shared process-wide budget).
-pub fn parallel_map_capped<T: Sync, R: Send>(
-    cap: usize,
-    items: &[T],
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
     use std::sync::atomic::Ordering;
     let budget = threads().saturating_sub(ACTIVE_WORKERS.load(Ordering::SeqCst));
-    let workers = budget.min(cap).min(items.len());
+    let workers = budget.min(items.len());
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
@@ -99,130 +56,38 @@ pub fn parallel_map_capped<T: Sync, R: Send>(
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Environment variable restricting which benchmarks the figure suites
-/// run: a comma-separated list of benchmark names (`compress,gcc,li`).
-/// Unset or empty = every benchmark. This is the fleet-splitting knob:
-/// two workers pointed at one pushing store each take a disjoint half of
-/// a campaign (manifest `benchmarks =` sets the same variable).
-pub const BENCHMARKS_ENV: &str = "DRI_BENCHMARKS";
-
-/// The benchmarks the figure suites should cover: all fifteen, unless
-/// [`BENCHMARKS_ENV`] names a subset. Order always follows the paper's
-/// presentation order regardless of how the list was written. Unknown
-/// names warn (once per process) and are skipped; a selection that names
-/// nothing valid falls back to the full suite rather than silently
-/// producing empty figures.
-pub fn selected_benchmarks() -> Vec<Benchmark> {
-    let all = Benchmark::all();
-    let Ok(raw) = std::env::var(BENCHMARKS_ENV) else {
-        return all.to_vec();
-    };
-    if raw.trim().is_empty() {
-        return all.to_vec();
-    }
-    let mut wanted: Vec<&str> = Vec::new();
-    for name in raw.split(',') {
-        let name = name.trim();
-        if name.is_empty() {
-            continue;
-        }
-        if all.iter().any(|b| b.name() == name) {
-            wanted.push(name);
-        } else {
-            warn_bad_benchmark(name);
-        }
-    }
-    if wanted.is_empty() {
-        return all.to_vec();
-    }
-    all.into_iter()
-        .filter(|b| wanted.contains(&b.name()))
-        .collect()
-}
-
-/// Warns (once per process) that `DRI_BENCHMARKS` named something that
-/// is not a benchmark.
-fn warn_bad_benchmark(name: &str) {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    WARNED.call_once(|| {
-        eprintln!(
-            "warning: {BENCHMARKS_ENV} names unknown benchmark `{name}`; \
-             ignoring it (known: {})",
-            Benchmark::all().map(Benchmark::name).join(", ")
-        );
-    });
-}
-
-/// Environment variable selecting the leakage policy the figure suites
-/// run: one of [`PolicyConfig::all_ids`] (`dri`, `decay`, `way_resize`,
-/// `way_memo`). Unset or `dri` = the paper's DRI i-cache. A manifest's
-/// `policy =` option sets the same variable, so any figure binary can be
-/// replayed under any policy without code changes.
-pub const POLICY_ENV: &str = "DRI_POLICY";
-
-/// The policy [`POLICY_ENV`] selects, derived from `dri` (see
-/// [`PolicyConfig::from_id`]). `None` when the variable is unset, empty,
-/// or explicitly `dri` — the default DRI path keys identically either
-/// way, but `None` keeps the common case on the frozen `RunConfig`
-/// default. Unknown names warn (once per process) and fall back to DRI
-/// rather than silently mislabelling a whole campaign's records.
-pub fn selected_policy(dri: &dri_core::DriConfig) -> Option<PolicyConfig> {
-    let raw = std::env::var(POLICY_ENV).ok()?;
-    let id = raw.trim();
-    if id.is_empty() {
-        return None;
-    }
-    match PolicyConfig::from_id(id, dri) {
-        Some(policy) => Some(policy),
-        None => {
-            warn_bad_policy(id);
-            None
-        }
-    }
-}
-
-/// Warns (once per process) that `DRI_POLICY` named something that is
-/// not a policy.
-fn warn_bad_policy(id: &str) {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    WARNED.call_once(|| {
-        eprintln!(
-            "warning: {POLICY_ENV} names unknown policy `{id}`; \
-             falling back to dri (known: {})",
-            PolicyConfig::all_ids().join(", ")
-        );
-    });
-}
-
 /// The base run configuration for a benchmark, honouring quick mode and
-/// the [`POLICY_ENV`] policy selection.
+/// the `DRI_POLICY` selection.
 pub fn base_config(benchmark: Benchmark) -> RunConfig {
-    let mut cfg = if quick_mode() {
+    let mut cfg = if config().quick {
         let mut cfg = RunConfig::quick(benchmark);
         cfg.instruction_budget = Some(600_000);
         cfg
     } else {
         RunConfig::hpca01(benchmark)
     };
-    cfg.policy = selected_policy(&cfg.dri);
+    cfg.policy = config()
+        .policy
+        .and_then(|id| PolicyConfig::from_id(id, &cfg.dri));
     cfg
 }
 
 /// The search space, honouring quick mode.
 pub fn space() -> SearchSpace {
-    if quick_mode() {
+    if config().quick {
         SearchSpace::quick()
     } else {
         SearchSpace::standard()
     }
 }
 
-/// Runs one closure per selected benchmark (see [`selected_benchmarks`])
-/// across [`threads`] workers, preserving the canonical benchmark order
-/// in the output.
-pub fn for_each_benchmark<T: Send>(f: impl Fn(Benchmark) -> T + Sync) -> Vec<(Benchmark, T)> {
-    let benchmarks = selected_benchmarks();
-    parallel_map(&benchmarks, |&b| (b, f(b)))
+/// Runs one closure per benchmark across [`threads`] workers,
+/// preserving the order of `benchmarks` in the output.
+pub fn for_each_benchmark<T: Send>(
+    benchmarks: &[Benchmark],
+    f: impl Fn(Benchmark) -> T + Sync,
+) -> Vec<(Benchmark, T)> {
+    parallel_map(benchmarks, |&b| (b, f(b)))
 }
 
 /// Standard banner for every experiment binary. A `paper_ref` beginning
@@ -235,7 +100,7 @@ pub fn banner(title: &str, paper_ref: &str) {
         Some(verbatim) => println!("({verbatim})"),
         None => println!("(reproduces {paper_ref} of Yang et al., HPCA 2001)"),
     }
-    if quick_mode() {
+    if config().quick {
         println!("[quick mode: reduced grids and budgets — shapes only]");
     }
     println!("================================================================");
@@ -247,7 +112,7 @@ mod tests {
 
     #[test]
     fn for_each_benchmark_preserves_order() {
-        let rows = for_each_benchmark(|b| b.name().len());
+        let rows = for_each_benchmark(&Benchmark::all(), |b| b.name().len());
         assert_eq!(rows.len(), 15);
         for ((b, len), expect) in rows.iter().zip(Benchmark::all()) {
             assert_eq!(*b, expect);
@@ -262,25 +127,13 @@ mod tests {
 
     #[test]
     fn policy_defaults_to_dri() {
-        // Like `selection_defaults_to_every_benchmark`, only assert on
-        // the ambient case; explicit selections are covered by the
-        // manifest's strict `policy =` validation and the two-policy
+        // Only the ambient case is observable here; the selection itself
+        // is covered by `config`'s parser tests and the two-policy
         // distributed CI job.
-        if std::env::var_os(POLICY_ENV).is_none() {
+        if config().policy.is_none() {
             let cfg = base_config(Benchmark::Li);
             assert_eq!(cfg.policy, None);
             assert_eq!(cfg.resolved_policy(), PolicyConfig::Dri(cfg.dri));
-        }
-    }
-
-    #[test]
-    fn selection_defaults_to_every_benchmark() {
-        // `selected_benchmarks` reads the ambient environment; only
-        // assert on the case this test can see without mutating global
-        // state (the filtering itself is covered via the manifest's
-        // strict `benchmarks =` validation and the distributed CI job).
-        if std::env::var_os(BENCHMARKS_ENV).is_none() {
-            assert_eq!(selected_benchmarks(), Benchmark::all().to_vec());
         }
     }
 }

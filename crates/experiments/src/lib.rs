@@ -19,18 +19,19 @@
 //! Every figure runs under any [`PolicyConfig`] — set `DRI_POLICY`
 //! (or a manifest's `policy =`) to swap the leakage-control model on
 //! the fetch path while baselines, energy accounting, and store keys
-//! adjust to match.
+//! adjust to match. Every setting is parsed once, into [`Config`].
 //!
 //! Set `DRI_QUICK=1` to run any binary with reduced grids/budgets, and
 //! `DRI_STORE=<dir>` to persist every simulated point in a
 //! content-addressed on-disk store ([`dri_store`], wired in by
 //! [`session`] + [`persist`]) so later processes warm-start from disk.
 //!
-//! With `DRI_REMOTE` pointing at a `dri-serve` host, a fleet shares one
-//! memoization domain; `suite --steal` ([`steal`]) goes further and
-//! shares the *scheduling* too — workers claim benchmark-sized work
-//! units from the server's durable lease table, push what they
-//! simulate, and re-claim anything a dead worker left behind.
+//! With `DRI_SHARDS` pointing at one or more `dri-serve` hosts, a fleet
+//! shares one memoization domain; `suite --steal` ([`steal`]) goes
+//! further and shares the *scheduling* too — workers claim
+//! benchmark-sized work units from the server's durable lease table,
+//! push what they simulate, and re-claim anything a dead worker left
+//! behind.
 //!
 //! ## Example
 //!
@@ -46,6 +47,7 @@
 
 #![warn(missing_docs)]
 
+pub mod config;
 pub mod figures;
 pub mod harness;
 pub mod manifest;
@@ -58,6 +60,7 @@ pub mod session;
 pub mod steal;
 pub mod sweeps;
 
+pub use config::{config, Config};
 pub use dri_core::PolicyConfig;
 pub use dri_serve::{RemoteStats, RemoteStore, ShardedStore};
 pub use dri_store::{KeyPlan, ResultStore, StoreStats};
@@ -69,9 +72,7 @@ pub use search::{
     grid_configs, search_all, search_benchmark, SearchResult, SearchSpace, SLOWDOWN_CONSTRAINT,
 };
 pub use session::{
-    prefetch_enabled, prefetch_grid, push_enabled, push_grid, PrefetchStats, PushStats,
-    SessionBuilder, SessionStats, SimSession, TierLatency, PREFETCH_ENV, PUSH_ENV,
+    prefetch_grid, push_grid, PrefetchStats, PushStats, SessionBuilder, SessionStats, SimSession,
+    TierLatency,
 };
-pub use steal::{
-    campaign_id, drain, steal_enabled, worker_name, DrainOutcome, STEAL_ENV, WORKER_ENV,
-};
+pub use steal::{campaign_id, drain, DrainOutcome};

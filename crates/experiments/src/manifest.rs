@@ -1,7 +1,7 @@
 //! Declarative run plans for the `suite` batch runner.
 //!
 //! A manifest is a small text file describing *which* figure/table suites
-//! to run and under *what* environment, so a whole evaluation campaign is
+//! to run and under *what* settings, so a whole evaluation campaign is
 //! one reviewable artifact instead of a shell script of `cargo run`
 //! invocations:
 //!
@@ -18,30 +18,33 @@
 //!
 //! Grammar, line by line (after stripping `#` comments and blank lines):
 //!
-//! * `<key> = <value>` — an option. `quick` (`on`/`off`/`1`/`0`) maps to
-//!   `DRI_QUICK`, `threads` (positive integer) to `DRI_THREADS`, `store`
-//!   (a directory path) to `DRI_STORE`, `remote` (a `dri-serve`
-//!   `host:port`) to `DRI_REMOTE`, `prefetch` (`on`/`off`) to
-//!   `DRI_PREFETCH` (bulk grid prefetch through the cache tiers — on by
-//!   default), `push` (`on`/`off`) to `DRI_PUSH` (push locally simulated
-//!   records to the remote service after each sweep — off by default;
-//!   the server must hold the matching `DRI_TOKEN`), `steal` (`on`/`off`)
-//!   to `DRI_STEAL` (lease-based work stealing: instead of statically
-//!   splitting the campaign with `benchmarks`, workers claim
-//!   benchmark-sized units from the server's durable lease queue — off
-//!   by default, requires `remote`), `policy` (one of `dri`, `decay`,
-//!   `way_resize`, `way_memo`) to `DRI_POLICY` (which leakage policy the
-//!   figure suites run — the paper's DRI cache by default), and
-//!   `benchmarks` (a comma-separated list of benchmark names) to
-//!   `DRI_BENCHMARKS` — the fleet-splitting knob that lets two workers
-//!   take disjoint halves of one campaign. Options apply to the whole
-//!   plan and must precede the first job.
+//! * `<key> = <value>` — an option. Each key sets one `DRI_*` variable's
+//!   field of the [`Config`] the manifest is parsed onto, with the same
+//!   grammar as the environment (see [`crate::config`](mod@crate::config)):
+//!
+//!   | key | variable | value |
+//!   |---|---|---|
+//!   | `quick` | `DRI_QUICK` | on/off |
+//!   | `threads` | `DRI_THREADS` | a positive integer |
+//!   | `store` | `DRI_STORE` | a directory path |
+//!   | `shards` | `DRI_SHARDS` | `host:port` addresses, comma-separated |
+//!   | `prefetch` | `DRI_PREFETCH` | on/off (bulk grid prefetch; on by default) |
+//!   | `push` | `DRI_PUSH` | on/off (push simulated records to the fleet; the server must hold the matching `DRI_TOKEN`) |
+//!   | `steal` | `DRI_STEAL` | on/off (claim benchmark-sized units from the server's lease queue; requires `shards`) |
+//!   | `policy` | `DRI_POLICY` | `dri`, `decay`, `way_resize` or `way_memo` |
+//!   | `benchmarks` | `DRI_BENCHMARKS` | benchmark names, comma-separated (the fleet-splitting knob) |
+//!
+//!   A manifest option overrides the environment; `suite`'s
+//!   command-line switches override both. `DRI_TOKEN` deliberately has
+//!   no manifest spelling: a secret does not belong in a reviewable plan
+//!   file. Options apply to the whole plan and must precede the first
+//!   job.
 //! * `<job>` — a job name (see [`Job::all`]), or `all` for every job.
 //!   Jobs run in file order; duplicates are dropped (within one process
 //!   the second run would be pure cache hits anyway).
 //!
-//! A manifest may list only options and no jobs (a shared environment
-//! config): the job list then comes from the `suite` command line, or
+//! A manifest may list only options and no jobs (a shared settings
+//! file): the job list then comes from the `suite` command line, or
 //! defaults to `all`.
 //!
 //! Parsing is strict: unknown jobs, unknown options, malformed values,
@@ -51,7 +54,13 @@
 
 use std::fmt;
 
+use synth_workload::suite::Benchmark;
+
+use crate::config::{
+    Config, BENCHMARKS_ENV, POLICY_ENV, PREFETCH_ENV, PUSH_ENV, QUICK_ENV, STEAL_ENV,
+};
 use crate::figures;
+use dri_serve::config::{SHARDS_ENV, STORE_ENV, THREADS_ENV};
 
 /// One runnable artifact suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,18 +146,19 @@ impl Job {
         Job::all().into_iter().find(|j| j.name() == name)
     }
 
-    /// Executes the job (printing its tables to stdout).
-    pub fn run(&self) {
+    /// Executes the job over `benchmarks` (printing its tables to
+    /// stdout; the closed-form jobs ignore the list).
+    pub fn run(&self, benchmarks: &[Benchmark]) {
         match self {
             Job::Table1 => figures::table1(),
             Job::Table2 => figures::table2(),
-            Job::Figure3 => figures::figure3(),
-            Job::Figure4 => figures::figure4(),
-            Job::Figure5 => figures::figure5(),
-            Job::Figure6 => figures::figure6(),
-            Job::Section5_6 => figures::section5_6(),
+            Job::Figure3 => figures::figure3(benchmarks),
+            Job::Figure4 => figures::figure4(benchmarks),
+            Job::Figure5 => figures::figure5(benchmarks),
+            Job::Figure6 => figures::figure6(benchmarks),
+            Job::Section5_6 => figures::section5_6(benchmarks),
             Job::Tradeoff => figures::tradeoff(),
-            Job::Policies => figures::policies(),
+            Job::Policies => figures::policies(benchmarks),
         }
     }
 }
@@ -159,40 +169,23 @@ impl fmt::Display for Job {
     }
 }
 
-/// Plan-wide options (each maps onto one `DRI_*` environment variable).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PlanOptions {
-    /// `quick = on|off` → `DRI_QUICK`.
-    pub quick: Option<bool>,
-    /// `threads = n` → `DRI_THREADS`.
-    pub threads: Option<usize>,
-    /// `store = <dir>` → `DRI_STORE`.
-    pub store: Option<String>,
-    /// `remote = <host:port>` → `DRI_REMOTE` (a `dri-serve` instance).
-    pub remote: Option<String>,
-    /// `prefetch = on|off` → `DRI_PREFETCH` (bulk grid prefetch; on by
-    /// default when unset).
-    pub prefetch: Option<bool>,
-    /// `push = on|off` → `DRI_PUSH` (write-through push of simulated
-    /// records to the remote service; off by default when unset).
-    pub push: Option<bool>,
-    /// `steal = on|off` → `DRI_STEAL` (lease-based work stealing over
-    /// the remote scheduler; off by default when unset).
-    pub steal: Option<bool>,
-    /// `policy = dri|decay|way_resize|way_memo` → `DRI_POLICY` (which
-    /// leakage policy the figure suites run; DRI when unset).
-    pub policy: Option<String>,
-    /// `benchmarks = a,b,c` → `DRI_BENCHMARKS` (restrict the figure
-    /// suites to a validated subset of benchmarks; names are normalised
-    /// to a comma-joined list).
-    pub benchmarks: Option<String>,
-}
+/// Each manifest option key and the variable it sets.
+const OPTIONS: [(&str, &str); 9] = [
+    ("quick", QUICK_ENV),
+    ("threads", THREADS_ENV),
+    ("store", STORE_ENV),
+    ("shards", SHARDS_ENV),
+    ("prefetch", PREFETCH_ENV),
+    ("push", PUSH_ENV),
+    ("steal", STEAL_ENV),
+    ("policy", POLICY_ENV),
+    ("benchmarks", BENCHMARKS_ENV),
+];
 
-/// A parsed manifest: options plus an ordered, deduplicated job list.
+/// A parsed manifest's ordered, deduplicated job list (its options
+/// were parsed onto a [`Config`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Manifest {
-    /// Plan-wide options.
-    pub options: PlanOptions,
     /// Jobs in execution order.
     pub jobs: Vec<Job>,
 }
@@ -235,89 +228,33 @@ fn err(line: usize, message: impl Into<String>) -> ManifestError {
     }
 }
 
-fn parse_switch(line: usize, value: &str) -> Result<bool, ManifestError> {
-    match value {
-        "on" | "1" | "true" | "yes" => Ok(true),
-        "off" | "0" | "false" | "no" => Ok(false),
-        other => Err(err(line, format!("expected on/off, got `{other}`"))),
-    }
-}
-
-/// Validates a `benchmarks =` list against the known benchmark names,
-/// returning them normalised (trimmed, comma-joined). Strict like every
-/// other manifest value: a typo'd name fails the parse with its line
-/// number rather than silently shrinking a fleet worker's share of the
-/// campaign.
-fn parse_benchmarks(line: usize, value: &str) -> Result<String, ManifestError> {
-    use synth_workload::suite::Benchmark;
-    let mut names: Vec<&str> = Vec::new();
-    for name in value.split(',') {
-        let name = name.trim();
-        if name.is_empty() {
-            continue;
-        }
-        if Benchmark::all().iter().any(|b| b.name() == name) {
-            if !names.contains(&name) {
-                names.push(name);
-            }
-        } else {
-            let known: Vec<&str> = Benchmark::all().iter().map(|b| b.name()).collect();
-            return Err(err(
-                line,
-                format!(
-                    "unknown benchmark `{name}` (expected a comma-separated subset of: {})",
-                    known.join(", ")
-                ),
-            ));
-        }
-    }
-    if names.is_empty() {
-        return Err(err(line, "`benchmarks` needs at least one benchmark name"));
-    }
-    Ok(names.join(","))
-}
-
-/// Validates a `policy =` value against the known leakage-policy ids.
-/// Strict for the same reason `benchmarks` is: a typo'd policy would
-/// otherwise run (and label) a whole campaign as DRI.
-fn parse_policy(line: usize, value: &str) -> Result<String, ManifestError> {
-    use dri_core::PolicyConfig;
-    if PolicyConfig::all_ids().contains(&value) {
-        Ok(value.to_owned())
-    } else {
-        Err(err(
-            line,
-            format!(
-                "unknown policy `{value}` (expected one of: {})",
-                PolicyConfig::all_ids().join(", ")
-            ),
-        ))
-    }
-}
-
-/// Parses manifest text (see the module docs for the grammar).
+/// Parses manifest text (see the module docs for the grammar), setting
+/// its options on `config`.
 ///
 /// ```
 /// use dri_experiments::manifest::{parse, Job};
+/// use dri_experiments::Config;
 ///
+/// let mut config = Config::default();
 /// let plan = parse(
 ///     "# campaign plan\n\
 ///      quick = on\n\
-///      prefetch = on          # one batch round-trip per grid\n\
+///      prefetch = off         # per-point tier lookups\n\
 ///      \n\
 ///      figure3\n\
 ///      figure4\n",
+///     &mut config,
 /// )
 /// .expect("well-formed manifest");
-/// assert_eq!(plan.options.quick, Some(true));
-/// assert_eq!(plan.options.prefetch, Some(true));
+/// assert!(config.quick && !config.prefetch);
 /// assert_eq!(plan.jobs, vec![Job::Figure3, Job::Figure4]);
 ///
 /// // Errors carry 1-based line numbers: a typo fails in seconds, not
 /// // silently mid-campaign.
-/// assert_eq!(parse("figure3\nfigure9\n").unwrap_err().line, 2);
+/// let err = parse("figure3\nfigure9\n", &mut config).unwrap_err();
+/// assert_eq!(err.line, 2);
 /// ```
-pub fn parse(text: &str) -> Result<Manifest, ManifestError> {
+pub fn parse(text: &str, config: &mut Config) -> Result<Manifest, ManifestError> {
     let mut manifest = Manifest::default();
     let mut saw_job = false;
     for (idx, raw) in text.lines().enumerate() {
@@ -334,46 +271,22 @@ pub fn parse(text: &str) -> Result<Manifest, ManifestError> {
                     format!("option `{key}` must appear before the first job"),
                 ));
             }
-            match key {
-                "quick" => manifest.options.quick = Some(parse_switch(lineno, value)?),
-                "threads" => {
-                    let n: usize = value.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        err(
-                            lineno,
-                            format!("`threads` needs a positive integer, got `{value}`"),
-                        )
-                    })?;
-                    manifest.options.threads = Some(n);
-                }
-                "store" => {
-                    if value.is_empty() {
-                        return Err(err(lineno, "`store` needs a directory path"));
-                    }
-                    manifest.options.store = Some(value.to_owned());
-                }
-                "remote" => {
-                    if value.is_empty() {
-                        return Err(err(lineno, "`remote` needs a host:port address"));
-                    }
-                    manifest.options.remote = Some(value.to_owned());
-                }
-                "prefetch" => manifest.options.prefetch = Some(parse_switch(lineno, value)?),
-                "push" => manifest.options.push = Some(parse_switch(lineno, value)?),
-                "steal" => manifest.options.steal = Some(parse_switch(lineno, value)?),
-                "policy" => manifest.options.policy = Some(parse_policy(lineno, value)?),
-                "benchmarks" => {
-                    manifest.options.benchmarks = Some(parse_benchmarks(lineno, value)?);
-                }
-                other => {
-                    return Err(err(
-                        lineno,
-                        format!(
-                            "unknown option `{other}` (expected quick, threads, store, \
-                             remote, prefetch, push, steal, policy, or benchmarks)"
-                        ),
-                    ))
-                }
+            let Some(&(_, var)) = OPTIONS.iter().find(|(option, _)| *option == key) else {
+                let known: Vec<&str> = OPTIONS.iter().map(|(option, _)| *option).collect();
+                return Err(err(
+                    lineno,
+                    format!(
+                        "unknown option `{key}` (expected one of: {})",
+                        known.join(", ")
+                    ),
+                ));
+            };
+            if value.is_empty() {
+                return Err(err(lineno, format!("`{key}` needs a value")));
             }
+            config
+                .set(var, value)
+                .map_err(|why| err(lineno, format!("`{key}`: {why}")))?;
         } else if line == "all" {
             saw_job = true;
             for job in Job::all() {
@@ -400,118 +313,109 @@ pub fn parse(text: &str) -> Result<Manifest, ManifestError> {
 mod tests {
     use super::*;
 
+    /// Parses `text` onto a default config.
+    fn parsed(text: &str) -> Result<(Config, Manifest), ManifestError> {
+        let mut config = Config::default();
+        parse(text, &mut config).map(|m| (config, m))
+    }
+
     #[test]
-    fn parses_options_jobs_and_comments() {
-        let m = parse(
-            "# campaign\nquick = on\nthreads = 4\nstore = /tmp/dri-store\n\nfigure3 # search\nfigure4\n",
+    fn every_option_sets_its_variable_with_the_same_grammar() {
+        let (manifest, m) = parsed(
+            "# campaign\nquick = on\nthreads = 4\nstore = /tmp/s\nshards = h:1\n\
+             prefetch = off\npush = on\nsteal = on\npolicy = decay # sweep\n\
+             benchmarks = li, gcc ,li\n\nfigure3 # search\nfigure4\n",
         )
         .expect("valid manifest");
-        assert_eq!(m.options.quick, Some(true));
-        assert_eq!(m.options.threads, Some(4));
-        assert_eq!(m.options.store.as_deref(), Some("/tmp/dri-store"));
+        let vars = [
+            (QUICK_ENV, "on"),
+            (THREADS_ENV, "4"),
+            (STORE_ENV, "/tmp/s"),
+            (SHARDS_ENV, "h:1"),
+            (PREFETCH_ENV, "off"),
+            (PUSH_ENV, "on"),
+            (STEAL_ENV, "on"),
+            (POLICY_ENV, "decay"),
+            (BENCHMARKS_ENV, "li,gcc"),
+        ];
+        let (env, warnings) = Config::from_vars(vars);
+        assert!(warnings.is_empty(), "{warnings:?}");
+        assert_eq!(manifest, env);
         assert_eq!(m.jobs, vec![Job::Figure3, Job::Figure4]);
+        // Unset options keep their defaults.
+        assert_eq!(parsed("figure3\n").unwrap().0, Config::default());
+        for id in dri_core::PolicyConfig::all_ids() {
+            let (c, _) = parsed(&format!("policy = {id}\n")).expect("valid manifest");
+            assert_eq!(c.policy, Some(id));
+        }
+    }
+
+    #[test]
+    fn manifest_options_override_the_environment() {
+        let (mut config, _) = Config::from_vars([(QUICK_ENV, "on"), (PUSH_ENV, "on")]);
+        parse("quick = off\nfigure3\n", &mut config).expect("valid manifest");
+        assert!(!config.quick, "the manifest wins");
+        assert_eq!(config.push, Some(true), "unset in the manifest: env stays");
+    }
+
+    #[test]
+    fn malformed_values_are_errors_with_their_line() {
+        for key in ["quick", "prefetch", "push", "steal"] {
+            assert!(
+                parsed(&format!("{key} = maybe\nfigure3\n")).is_err(),
+                "{key}"
+            );
+        }
+        for bad in [
+            "jobs = 3",
+            "threads = zero",
+            "threads = 0",
+            "store =",
+            "shards =",
+            "shards = nonsense",
+            "benchmarks = ,",
+        ] {
+            assert!(parsed(&format!("{bad}\nfigure3\n")).is_err(), "{bad}");
+        }
+        for (bad, needles) in [
+            ("policy = drowsy", ["drowsy", "way_memo"]),
+            ("benchmarks = compress, gzip", ["gzip", "compress"]),
+        ] {
+            let e = parsed(&format!("quick = on\n{bad}\nfigure3\n")).expect_err(bad);
+            assert_eq!(e.line, 2);
+            for needle in needles {
+                assert!(e.message.contains(needle), "{e}");
+            }
+        }
     }
 
     #[test]
     fn all_expands_and_dedupes() {
-        let m = parse("figure5\nall\nfigure5\n").expect("valid manifest");
+        let (_, m) = parsed("figure5\nall\nfigure5\n").expect("valid manifest");
         assert_eq!(m.jobs.len(), Job::all().len());
         assert_eq!(m.jobs[0], Job::Figure5, "explicit order wins");
     }
 
     #[test]
     fn rejects_unknown_job_with_line_number() {
-        let e = parse("figure3\nfigure7\n").expect_err("unknown job");
+        let e = parsed("figure3\nfigure7\n").expect_err("unknown job");
         assert_eq!(e.line, 2);
         assert!(e.message.contains("figure7"), "{e}");
     }
 
     #[test]
-    fn rejects_unknown_and_malformed_options() {
-        assert!(parse("jobs = 3\nfigure3\n").is_err());
-        assert!(parse("threads = zero\nfigure3\n").is_err());
-        assert!(parse("threads = 0\nfigure3\n").is_err());
-        assert!(parse("quick = maybe\nfigure3\n").is_err());
-        assert!(parse("store =\nfigure3\n").is_err());
-        assert!(parse("remote =\nfigure3\n").is_err());
-    }
-
-    #[test]
-    fn remote_option_parses() {
-        let m = parse("remote = 10.0.0.5:7171\nfigure3\n").expect("valid manifest");
-        assert_eq!(m.options.remote.as_deref(), Some("10.0.0.5:7171"));
-    }
-
-    #[test]
-    fn push_option_parses_and_rejects_garbage() {
-        let m = parse("push = on\nremote = 10.0.0.5:7171\nfigure3\n").expect("valid manifest");
-        assert_eq!(m.options.push, Some(true));
-        assert_eq!(parse("figure3\n").unwrap().options.push, None, "default");
-        assert!(parse("push = maybe\nfigure3\n").is_err());
-    }
-
-    #[test]
-    fn steal_option_parses_and_rejects_garbage() {
-        let m = parse("steal = on\nremote = 10.0.0.5:7171\nfigure3\n").expect("valid manifest");
-        assert_eq!(m.options.steal, Some(true));
-        assert_eq!(parse("figure3\n").unwrap().options.steal, None, "default");
-        assert!(parse("steal = maybe\nfigure3\n").is_err());
-    }
-
-    #[test]
-    fn policy_option_validates_ids_strictly() {
-        for id in dri_core::PolicyConfig::all_ids() {
-            let m = parse(&format!("policy = {id}\nfigure3\n")).expect("valid manifest");
-            assert_eq!(m.options.policy.as_deref(), Some(id));
-        }
-        assert_eq!(parse("figure3\n").unwrap().options.policy, None, "default");
-        let e =
-            parse("quick = on\npolicy = drowsy\nfigure3\n").expect_err("drowsy is not a policy");
-        assert_eq!(e.line, 2);
-        assert!(e.message.contains("drowsy"), "{e}");
-        assert!(e.message.contains("way_memo"), "{e}");
-    }
-
-    #[test]
-    fn benchmarks_option_validates_names_strictly() {
-        let m = parse("benchmarks = compress, gcc ,li\nfigure3\n").expect("valid manifest");
-        assert_eq!(
-            m.options.benchmarks.as_deref(),
-            Some("compress,gcc,li"),
-            "trimmed, deduplicated, comma-joined"
-        );
-        let m = parse("benchmarks = swim, swim\nfigure3\n").expect("dup collapses");
-        assert_eq!(m.options.benchmarks.as_deref(), Some("swim"));
-        let e = parse("figure3\n").unwrap();
-        assert_eq!(e.options.benchmarks, None);
-        let e = parse("quick = on\nbenchmarks = compress, gzip\nfigure3\n")
-            .expect_err("gzip is not in the suite");
-        assert_eq!(e.line, 2);
-        assert!(e.message.contains("gzip"), "{e}");
-        assert!(parse("benchmarks = ,\nfigure3\n").is_err(), "empty list");
-    }
-
-    #[test]
-    fn prefetch_option_parses_and_rejects_garbage() {
-        let m = parse("prefetch = off\nfigure3\n").expect("valid manifest");
-        assert_eq!(m.options.prefetch, Some(false));
-        assert_eq!(parse("figure3\n").unwrap().options.prefetch, None);
-        assert!(parse("prefetch = sometimes\nfigure3\n").is_err());
-    }
-
-    #[test]
     fn rejects_options_after_jobs() {
-        let e = parse("figure3\nquick = on\n").expect_err("late option");
+        let e = parsed("figure3\nquick = on\n").expect_err("late option");
         assert_eq!(e.line, 2);
     }
 
     #[test]
     fn options_only_manifests_are_valid_with_no_jobs() {
-        // A shared-environment config composes with CLI jobs: the suite
+        // A shared settings file composes with CLI jobs: the suite
         // supplies the job list (or defaults to `all`).
-        let m = parse("# env only\nquick = on\nstore = /tmp/s\n").expect("options-only manifest");
+        let (c, m) = parsed("# settings only\nquick = on\nstore = /tmp/s\n").expect("valid");
         assert!(m.jobs.is_empty());
-        assert_eq!(m.options.quick, Some(true));
+        assert!(c.quick);
     }
 
     #[test]

@@ -122,11 +122,11 @@ pub fn search_benchmark(base: &RunConfig, space: &SearchSpace) -> SearchResult {
     }
 }
 
-/// Searches every selected benchmark (all fifteen unless
+/// Searches every benchmark of `benchmarks` (all fifteen unless
 /// `DRI_BENCHMARKS` restricts the campaign — the fleet-splitting knob),
-/// spreading the work over at most `threads` workers (drawn from the
-/// same process-wide budget the per-benchmark grids use, so the fan-out
-/// never multiplies past the machine).
+/// spreading the work over [`crate::harness::parallel_map`]'s workers
+/// (the same process-wide budget the per-benchmark grids draw from, so
+/// the fan-out never multiplies past the machine).
 ///
 /// The **entire cross-benchmark grid** is enumerated and prefetched
 /// before the fan-out, so a cold worker pointed at a warm `dri-serve`
@@ -139,19 +139,17 @@ pub fn search_benchmark(base: &RunConfig, space: &SearchSpace) -> SearchResult {
 /// grid pushes as it finishes; the final [`crate::session::push_grid`]
 /// drains stragglers).
 pub fn search_all(
+    benchmarks: &[Benchmark],
     make_base: impl Fn(Benchmark) -> RunConfig + Sync,
     space: &SearchSpace,
-    threads: usize,
 ) -> Vec<SearchResult> {
-    let benchmarks = crate::harness::selected_benchmarks();
     let campaign: Vec<RunConfig> = benchmarks
         .iter()
         .flat_map(|&b| grid_configs(&make_base(b), space))
         .collect();
     crate::session::prefetch_grid(&campaign);
-    let results = crate::harness::parallel_map_capped(threads.max(1), &benchmarks, |&b| {
-        search_benchmark(&make_base(b), space)
-    });
+    let results =
+        crate::harness::parallel_map(benchmarks, |&b| search_benchmark(&make_base(b), space));
     crate::session::push_grid();
     results
 }

@@ -51,8 +51,8 @@
 //!
 //! A session can further carry a [`dri_serve::ShardedStore`] client,
 //! making the full lookup order **memory → disk → remote → simulate**.
-//! The global session attaches one when `DRI_REMOTE` names a `dri-serve`
-//! instance or `DRI_SHARDS` names a whole fleet (again, unset = off) —
+//! The global session attaches one when `DRI_SHARDS` names a
+//! `dri-serve` instance or a whole fleet (again, unset = off) —
 //! in a fleet, every record key is consistent-hashed to its owning
 //! shards, batch traffic is split per shard, and reads fail over to
 //! replicas when a shard dies. A remote hit is validated end-to-end
@@ -102,7 +102,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use dri_serve::{BatchEntry, PushOutcome, RemoteStats, RemoteStore, ShardedStore};
+use dri_serve::{BatchEntry, PushOutcome, RemoteStats, ShardedStore};
 use dri_store::{KeyPlan, ResultStore, StoreStats};
 use dri_telemetry::{trace, Histogram, Span, TraceEvent};
 
@@ -113,6 +113,7 @@ use ooo_cpu::config::CpuConfig;
 use synth_workload::suite::Benchmark;
 use synth_workload::Generated;
 
+use crate::config::config;
 use crate::runner::{ConventionalRun, DriRun, RunConfig};
 
 /// Identifies a generated workload: the benchmark plus the optional seed
@@ -221,52 +222,14 @@ impl SessionStats {
     }
 }
 
-/// Environment variable gating the bulk-prefetch pass. Prefetch is **on
-/// by default**; set `DRI_PREFETCH=0` (or `off`/`false`/`no`) to restore
-/// per-point tier lookups.
-pub const PREFETCH_ENV: &str = "DRI_PREFETCH";
-
-/// Whether sweeps/search should bulk-prefetch their grids through the
-/// session tiers before fanning out (see [`SimSession::prefetch`]).
-/// Reads [`PREFETCH_ENV`] afresh on every call, like the other `DRI_*`
-/// switches, so a manifest's `prefetch =` option takes effect even after
-/// the global session exists.
-pub fn prefetch_enabled() -> bool {
-    match std::env::var(PREFETCH_ENV) {
-        Ok(raw) => !matches!(
-            raw.trim().to_ascii_lowercase().as_str(),
-            "0" | "off" | "false" | "no"
-        ),
-        Err(_) => true,
-    }
-}
-
 /// Bulk-prefetches `cfgs` through the **global** session's tiers when
 /// prefetch is enabled — the hook every sweep/search grid calls right
 /// before its `parallel_map` fan-out. Returns the per-plan outcome
 /// (`None` when prefetch is disabled).
 pub fn prefetch_grid(cfgs: &[RunConfig]) -> Option<PrefetchStats> {
-    prefetch_enabled().then(|| SimSession::global().prefetch(cfgs))
-}
-
-/// Environment variable gating write-through push mode. Push is **off by
-/// default** (workers must opt in to writing at a shared host); set
-/// `DRI_PUSH=1` (or `on`/`true`/`yes`) to enable it.
-pub const PUSH_ENV: &str = "DRI_PUSH";
-
-/// Whether locally simulated results should be pushed to the remote
-/// result service after each sweep (see [`SimSession::push_pending`]).
-/// Like the other `DRI_*` switches this reads [`PUSH_ENV`] afresh on
-/// every call, so a manifest's `push =` option takes effect even after
-/// the global session exists.
-pub fn push_enabled() -> bool {
-    match std::env::var(PUSH_ENV) {
-        Ok(raw) => matches!(
-            raw.trim().to_ascii_lowercase().as_str(),
-            "1" | "on" | "true" | "yes"
-        ),
-        Err(_) => false,
-    }
+    config()
+        .prefetch
+        .then(|| SimSession::global().prefetch(cfgs))
 }
 
 /// Pushes the **global** session's pending simulated records upward when
@@ -275,7 +238,8 @@ pub fn push_enabled() -> bool {
 /// [`prefetch_grid`]). Returns the per-batch outcome (`None` when push
 /// is disabled).
 pub fn push_grid() -> Option<PushStats> {
-    push_enabled().then(|| SimSession::global().push_pending())
+    let session = SimSession::global();
+    session.push.then(|| session.push_pending())
 }
 
 /// Outcome counters of one (or, aggregated, every) write-through push.
@@ -334,10 +298,9 @@ pub struct PrefetchStats {
 /// *answered by that tier* — so `memory` is the warm-path cost, `disk`
 /// the load+decode cost, `remote` the round-trip cost, and `simulate`
 /// the price of a true miss. Only populated on a **timed** session
-/// ([`dri_telemetry::timing_enabled`] at construction, or
-/// [`SessionBuilder::timed`]): the warm memory path runs in hundreds
-/// of nanoseconds, where even two clock reads are visible, so untimed
-/// sessions skip the clocks entirely.
+/// (tracing on at construction, or [`SessionBuilder::timed`]): the warm
+/// memory path runs in hundreds of nanoseconds, where even two clock
+/// reads are visible, so untimed sessions skip the clocks entirely.
 #[derive(Debug, Default)]
 pub struct TierLatency {
     /// Lookups the memory tier answered.
@@ -399,10 +362,8 @@ pub struct SimSession {
     /// redundant traffic.
     pending_push: Mutex<Vec<(&'static str, u128, Vec<u8>)>>,
     push_totals: Mutex<PushStats>,
-    /// Test-facing push switch; the environment ([`push_enabled`]) is
-    /// also consulted afresh on every simulation, so the global session
-    /// honours a manifest's `push = on` even though it was constructed
-    /// earlier.
+    /// Whether simulated records are buffered for upward push (the
+    /// global session takes it from [`crate::config::Config::push`]).
     push: bool,
     /// Whether lookups are wall-clocked into [`Self::tier_latency`] (and
     /// traced). Resolved once at construction — see [`TierLatency`] for
@@ -420,9 +381,8 @@ pub struct SimSession {
 /// `with_timing` constructor family kept drifting apart: PR 7 fixed a
 /// flag one of them silently dropped).
 ///
-/// Defaults: memory-only, push off, timing resolved from the
-/// environment ([`dri_telemetry::timing_enabled`]) at `build()` unless
-/// [`Self::timed`] pins it.
+/// Defaults: memory-only, push off, timed exactly when tracing is on
+/// ([`trace::enabled`]) unless [`Self::timed`] pins it.
 ///
 /// ```
 /// use dri_experiments::session::SimSession;
@@ -445,34 +405,23 @@ impl SessionBuilder {
         self
     }
 
-    /// Attaches (or, with `None`, omits) the remote tier as a
-    /// single-server client (the common test/bench shape). Wrapped as a
-    /// one-shard [`ShardedStore`] internally — routing degenerates to
-    /// pass-through, so the single-remote protocol is unchanged.
-    pub fn remote(mut self, remote: impl Into<Option<RemoteStore>>) -> Self {
-        self.remote = remote.into().map(ShardedStore::single);
-        self
-    }
-
-    /// Attaches (or, with `None`, omits) the remote tier as a sharded
-    /// fleet client — batch traffic splits per owning shard and reads
-    /// fail over to replicas.
+    /// Attaches (or, with `None`, omits) the remote tier: a fleet
+    /// client, where batch traffic splits per owning shard and reads
+    /// fail over to replicas, or one server as
+    /// [`ShardedStore::single`].
     pub fn sharded(mut self, remote: impl Into<Option<ShardedStore>>) -> Self {
         self.remote = remote.into();
         self
     }
 
-    /// Sets write-through push mode explicitly (tests use this instead
-    /// of mutating the process environment; `DRI_PUSH` is still
-    /// consulted afresh on every simulation either way).
+    /// Sets write-through push mode.
     pub fn push(mut self, push: bool) -> Self {
         self.push = push;
         self
     }
 
-    /// Pins lookup timing instead of resolving it from the environment —
-    /// the bench harness uses `.timed(true)` to measure the timed warm
-    /// path without touching the process environment.
+    /// Pins lookup timing instead of following tracing — the bench
+    /// harness uses `.timed(true)` to measure the timed warm path.
     pub fn timed(mut self, timed: bool) -> Self {
         self.timed = Some(timed);
         self
@@ -484,7 +433,7 @@ impl SessionBuilder {
             store: self.store,
             remote: self.remote,
             push: self.push,
-            timed: self.timed.unwrap_or_else(dri_telemetry::timing_enabled),
+            timed: self.timed.unwrap_or_else(trace::enabled),
             ..SimSession::default()
         }
     }
@@ -496,17 +445,19 @@ impl SimSession {
         SessionBuilder::default()
     }
 
-    /// The process-wide session every default-path run shares. Attaches
-    /// the disk tier when the `DRI_STORE` environment variable names a
-    /// usable directory, and the remote tier when `DRI_SHARDS` names a
-    /// serve fleet or `DRI_REMOTE` a single `dri-serve` instance (each
-    /// decided once, at first use).
+    /// The process-wide session every default-path run shares, built at
+    /// first use from [`config`]: the disk tier when `DRI_STORE` names a
+    /// usable directory, the remote tier when `DRI_SHARDS` names a
+    /// fleet, and the push and timing switches.
     pub fn global() -> &'static SimSession {
         static GLOBAL: OnceLock<SimSession> = OnceLock::new();
         GLOBAL.get_or_init(|| {
+            let config = config();
             SimSession::builder()
-                .store(ResultStore::from_env())
-                .sharded(ShardedStore::from_env())
+                .store(config.fleet.open_store())
+                .sharded(config.fleet.remote())
+                .push(config.push())
+                .timed(config.timed || trace::enabled())
                 .build()
         })
     }
@@ -560,10 +511,9 @@ impl SimSession {
     }
 
     /// Whether fresh simulations should be buffered for upward push:
-    /// push mode is on (session flag or `DRI_PUSH`), and there is a
-    /// remote tier to push to.
+    /// push mode is on, and there is a remote tier to push to.
     fn push_active(&self) -> bool {
-        self.remote.is_some() && (self.push || push_enabled())
+        self.remote.is_some() && self.push
     }
 
     /// Buffers one freshly simulated record for the next push drain.
@@ -1165,6 +1115,7 @@ impl SimSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dri_serve::RemoteStore;
 
     #[test]
     fn workload_is_generated_once_per_key() {
@@ -1207,7 +1158,7 @@ mod tests {
     #[test]
     fn push_mode_buffers_simulations_and_survives_a_dead_server() {
         let session = SimSession::builder()
-            .remote(RemoteStore::new("127.0.0.1:1"))
+            .sharded(ShardedStore::single(RemoteStore::new("127.0.0.1:1")))
             .push(true)
             .build();
         let mut cfg = RunConfig::quick(Benchmark::Li);
@@ -1229,7 +1180,7 @@ mod tests {
 
         // With push mode off nothing accumulates in the first place.
         let quiet = SimSession::builder()
-            .remote(RemoteStore::new("127.0.0.1:1"))
+            .sharded(ShardedStore::single(RemoteStore::new("127.0.0.1:1")))
             .build();
         let _ = quiet.policy_run(&cfg);
         assert_eq!(quiet.push_pending().attempted, 0);

@@ -29,16 +29,6 @@ use std::time::{Duration, Instant};
 use dri_serve::{LeaseClaim, LeaseError, RemoteStore};
 use dri_telemetry::{trace, Span};
 
-/// Environment variable gating work-stealing campaign mode. Off by
-/// default; set `DRI_STEAL=1` (or `on`/`true`/`yes`) — or pass `suite
-/// --steal` / a manifest's `steal = on` — to enable it.
-pub const STEAL_ENV: &str = "DRI_STEAL";
-
-/// Environment variable naming this worker to the lease scheduler.
-/// Unset, the worker is `worker-<pid>`; CI sets readable names so the
-/// server's lease files and logs identify who held what.
-pub const WORKER_ENV: &str = "DRI_WORKER";
-
 /// How long a worker sleeps between claim attempts while every
 /// remaining unit is leased to someone else (or a transient claim
 /// failure is backing off).
@@ -53,30 +43,6 @@ pub const MAX_CLAIM_FAILURES: u32 = 5;
 /// Granularity at which the heartbeat thread notices the unit finished,
 /// so completing a fast unit never blocks on a sleeping heartbeat.
 const STOP_POLL: Duration = Duration::from_millis(10);
-
-/// Whether work-stealing campaign mode is enabled (reads [`STEAL_ENV`]
-/// afresh on every call, like the other `DRI_*` switches, so a
-/// manifest's `steal =` option takes effect even after the global
-/// session exists).
-pub fn steal_enabled() -> bool {
-    match std::env::var(STEAL_ENV) {
-        Ok(raw) => matches!(
-            raw.trim().to_ascii_lowercase().as_str(),
-            "1" | "on" | "true" | "yes"
-        ),
-        Err(_) => false,
-    }
-}
-
-/// This worker's name to the scheduler: [`WORKER_ENV`] when set and
-/// non-empty, else `worker-<pid>`.
-pub fn worker_name() -> String {
-    std::env::var(WORKER_ENV)
-        .ok()
-        .map(|raw| raw.trim().to_owned())
-        .filter(|name| !name.is_empty())
-        .unwrap_or_else(|| format!("worker-{}", std::process::id()))
-}
 
 /// The deterministic campaign identifier a fleet of workers agrees on:
 /// the simulating job names joined with `.`, suffixed `-quick` in quick
@@ -303,23 +269,6 @@ mod tests {
                 &["figure3", "figure4", "figure5", "figure6", "section5_6"],
                 quick
             )));
-        }
-    }
-
-    #[test]
-    fn worker_names_fall_back_to_the_pid() {
-        // The environment override is covered by the CI chaos job (which
-        // names its workers); here only the ambient-default case is
-        // observable without mutating global state.
-        if std::env::var_os(WORKER_ENV).is_none() {
-            assert_eq!(worker_name(), format!("worker-{}", std::process::id()));
-        }
-    }
-
-    #[test]
-    fn steal_mode_defaults_off() {
-        if std::env::var_os(STEAL_ENV).is_none() {
-            assert!(!steal_enabled());
         }
     }
 

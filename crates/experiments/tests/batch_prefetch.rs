@@ -5,7 +5,7 @@
 //! to a fresh simulation, and only true misses left to simulate.
 //!
 //! The headline proof mirrors figure3's parameter search exactly: a cold
-//! `DRI_REMOTE`-style worker replays the full 15-benchmark quick-space
+//! `DRI_SHARDS`-style worker replays the full 15-benchmark quick-space
 //! grid — 105 unique records — with **exactly one** batch round-trip,
 //! **zero** local simulations, and **zero** workload generations (CI's
 //! `service-smoke` job asserts the same single-round-trip property on
@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use dri_experiments::runner::{run_dri_uncached, ConventionalRun};
 use dri_experiments::search::{grid_configs, SearchSpace};
-use dri_experiments::{DriRun, RemoteStore, ResultStore, RunConfig, SimSession};
+use dri_experiments::{DriRun, RemoteStore, ResultStore, RunConfig, ShardedStore, SimSession};
 use dri_serve::Server;
 use synth_workload::suite::Benchmark;
 
@@ -121,7 +121,9 @@ fn cold_worker_prefetches_a_figure3_grid_in_one_round_trip() {
     let server = serve(&central);
     let worker = SimSession::builder()
         .store(open_store(&local))
-        .remote(RemoteStore::new(server.addr().to_string()))
+        .sharded(ShardedStore::single(RemoteStore::new(
+            server.addr().to_string(),
+        )))
         .build();
     let report = worker.prefetch(&grid);
     assert_eq!(
@@ -199,7 +201,7 @@ fn empty_and_memory_warm_plans_are_no_ops() {
     let _ = session.conventional(&cfg);
     let _ = session.policy_run(&cfg);
     let warm = SimSession::builder()
-        .remote(RemoteStore::new("127.0.0.1:1"))
+        .sharded(ShardedStore::single(RemoteStore::new("127.0.0.1:1")))
         .build();
     let _ = warm.prefetch(std::slice::from_ref(&cfg)); // cold: all misses
     let sims = warm.stats();
@@ -234,7 +236,9 @@ fn partial_miss_prefetch_recomputes_and_heals_only_the_misses() {
     let server = serve(&central);
     let worker = SimSession::builder()
         .store(open_store(&local))
-        .remote(RemoteStore::new(server.addr().to_string()))
+        .sharded(ShardedStore::single(RemoteStore::new(
+            server.addr().to_string(),
+        )))
         .build();
     let report = worker.prefetch(&grid);
     assert_eq!(report.planned, 7, "6 DRI points + 1 shared baseline");
@@ -306,7 +310,9 @@ fn corrupt_central_record_degrades_to_recompute_and_heal() {
     let server = serve(&central);
     let worker = SimSession::builder()
         .store(open_store(&local))
-        .remote(RemoteStore::new(server.addr().to_string()))
+        .sharded(ShardedStore::single(RemoteStore::new(
+            server.addr().to_string(),
+        )))
         .build();
     let report = worker.prefetch(std::slice::from_ref(&cfg));
     assert_eq!(report.batch_round_trips, 1);

@@ -3,7 +3,13 @@
 //! pointing at the line, not silently skip a figure), and the error
 //! renders that line number for humans.
 
-use dri_experiments::manifest::{parse, Job};
+use dri_experiments::manifest::{self, Job, Manifest, ManifestError};
+use dri_experiments::Config;
+
+/// Parses `text` onto a default config.
+fn parse(text: &str) -> Result<Manifest, ManifestError> {
+    manifest::parse(text, &mut Config::default())
+}
 
 /// Asserts `text` fails on `line` with a message containing `needle`.
 fn assert_fails_at(text: &str, line: usize, needle: &str) {
@@ -39,7 +45,7 @@ fn unknown_jobs_point_at_their_line() {
 fn unknown_options_point_at_their_line() {
     assert_fails_at("quick = on\nworkers = 4\nfigure3\n", 2, "workers");
     let err = parse("workers = 4\n").expect_err("unknown option");
-    for known in ["quick", "threads", "store", "remote"] {
+    for known in ["quick", "threads", "store", "shards"] {
         assert!(err.message.contains(known), "{err}");
     }
 }
@@ -49,8 +55,9 @@ fn malformed_values_point_at_their_line() {
     assert_fails_at("quick = maybe\n", 1, "maybe");
     assert_fails_at("# header\nthreads = -2\n", 2, "-2");
     assert_fails_at("threads = 0\n", 1, "positive");
-    assert_fails_at("store =\n", 1, "directory");
-    assert_fails_at("remote =   # trailing comment\n", 1, "host:port");
+    assert_fails_at("store =\n", 1, "needs a value");
+    assert_fails_at("shards =   # trailing comment\n", 1, "needs a value");
+    assert_fails_at("shards = localhost\n", 1, "host:port");
 }
 
 #[test]
@@ -80,7 +87,7 @@ figure7
 fn line_zero_renders_without_a_location() {
     // Line 0 is reserved for whole-file errors; the Display contract
     // matters for tools that prefix file names.
-    let err = dri_experiments::manifest::ManifestError {
+    let err = ManifestError {
         line: 0,
         message: "empty plan".to_owned(),
     };
@@ -100,9 +107,12 @@ fn first_error_wins() {
 fn valid_plans_still_parse_after_error_paths() {
     // Guard against over-eager strictness: a representative valid plan
     // with every option, comments, and duplicate jobs.
-    let plan =
-        parse("quick = off\nthreads = 2\nstore = /tmp/s\nremote = h:1\n\nfigure5\nall\nfigure5\n")
-            .expect("valid plan");
+    let mut config = Config::default();
+    let plan = manifest::parse(
+        "quick = off\nthreads = 2\nstore = /tmp/s\nshards = h:1\n\nfigure5\nall\nfigure5\n",
+        &mut config,
+    )
+    .expect("valid plan");
     assert_eq!(plan.jobs.len(), Job::all().len());
-    assert_eq!(plan.options.remote.as_deref(), Some("h:1"));
+    assert_eq!(config.fleet.shards, ["h:1"]);
 }

@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use dri_experiments::runner::ConventionalRun;
 use dri_experiments::search::{grid_configs, SearchSpace};
-use dri_experiments::{DriRun, RemoteStore, ResultStore, RunConfig, SimSession};
+use dri_experiments::{DriRun, RemoteStore, ResultStore, RunConfig, ShardedStore, SimSession};
 use dri_serve::{PushOutcome, Server};
 use synth_workload::suite::Benchmark;
 
@@ -59,10 +59,10 @@ fn serve_writable(root: &Path) -> Server {
 /// A cold worker that simulates what it must and pushes it upward.
 fn pushing_worker(addr: &str, token: &str) -> SimSession {
     SimSession::builder()
-        .remote(RemoteStore::with_token(
+        .sharded(ShardedStore::single(RemoteStore::with_token(
             addr.to_owned(),
             Some(token.to_owned()),
-        ))
+        )))
         .push(true)
         .build()
 }
@@ -176,7 +176,7 @@ fn two_pushing_workers_fill_the_store_and_a_cold_third_replays_everything() {
     // round-trip, zero simulations, zero workload generations, and every
     // counter bit-identical to the workers' fresh runs.
     let replayer = SimSession::builder()
-        .remote(RemoteStore::new(addr.clone()))
+        .sharded(ShardedStore::single(RemoteStore::new(addr.clone())))
         .build();
     let report = replayer.prefetch(&grid);
     assert_eq!(report.planned as usize, unique_records);
@@ -200,7 +200,9 @@ fn two_pushing_workers_fill_the_store_and_a_cold_third_replays_everything() {
     server.shutdown();
     let server = Server::bind(Arc::new(open_store(&central)), "127.0.0.1:0", 4).expect("rebind");
     let late = SimSession::builder()
-        .remote(RemoteStore::new(server.addr().to_string()))
+        .sharded(ShardedStore::single(RemoteStore::new(
+            server.addr().to_string(),
+        )))
         .build();
     let report = late.prefetch(&grid);
     assert_eq!(report.remote_hits as usize, unique_records);
@@ -246,7 +248,9 @@ fn wrong_token_pushes_are_rejected_and_replayers_recompute_locally() {
 
     // A replayer finds nothing remote and degrades to local recompute —
     // bit-identical, just not free.
-    let replayer = SimSession::builder().remote(RemoteStore::new(addr)).build();
+    let replayer = SimSession::builder()
+        .sharded(ShardedStore::single(RemoteStore::new(addr)))
+        .build();
     assert_conventional_identical(
         &ref_baseline,
         &replayer.conventional(&cfg),
@@ -309,7 +313,9 @@ fn a_corrupt_frame_fails_only_its_own_entry() {
     // The two good records serve a cold replayer; the grid point the
     // corrupt frame would have covered recomputes locally.
     let replayer = SimSession::builder()
-        .remote(RemoteStore::new(server.addr().to_string()))
+        .sharded(ShardedStore::single(RemoteStore::new(
+            server.addr().to_string(),
+        )))
         .build();
     assert_dri_identical(
         &session.policy_run(&cfg),

@@ -7,7 +7,7 @@
 //! an ordinary recompute.
 //!
 //! Each test runs its own server on an ephemeral port over its own temp
-//! store, so nothing depends on (or pollutes) `DRI_REMOTE`/`DRI_STORE`.
+//! store, so nothing depends on (or pollutes) `DRI_SHARDS`/`DRI_STORE`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use dri_experiments::runner::{run_conventional_uncached, run_dri_uncached, ConventionalRun};
 use dri_experiments::search::SearchSpace;
-use dri_experiments::{DriRun, RemoteStore, ResultStore, RunConfig, SimSession};
+use dri_experiments::{DriRun, RemoteStore, ResultStore, RunConfig, ShardedStore, SimSession};
 use dri_serve::Server;
 use synth_workload::suite::Benchmark;
 
@@ -103,7 +103,9 @@ fn cold_disk_less_worker_warm_starts_from_the_wire() {
     let server = serve(&central);
     // A cold worker with no disk store at all: memory → remote → simulate.
     let worker = SimSession::builder()
-        .remote(RemoteStore::new(server.addr().to_string()))
+        .sharded(ShardedStore::single(RemoteStore::new(
+            server.addr().to_string(),
+        )))
         .build();
     let baseline = worker.conventional(&cfg);
     let dri = worker.policy_run(&cfg);
@@ -161,7 +163,9 @@ fn remote_replays_the_figure3_grid_with_zero_local_simulations() {
     // Cold worker: replays the same grid purely over the wire.
     let server = serve(&central);
     let worker = SimSession::builder()
-        .remote(RemoteStore::new(server.addr().to_string()))
+        .sharded(ShardedStore::single(RemoteStore::new(
+            server.addr().to_string(),
+        )))
         .build();
     for (cfg, (ref_baseline, ref_dri)) in grid.iter().zip(&reference) {
         let baseline = worker.conventional(cfg);
@@ -200,7 +204,9 @@ fn remote_hits_heal_the_local_disk_tier() {
     // the local store.
     let worker = SimSession::builder()
         .store(open_store(&local))
-        .remote(RemoteStore::new(server.addr().to_string()))
+        .sharded(ShardedStore::single(RemoteStore::new(
+            server.addr().to_string(),
+        )))
         .build();
     assert_dri_identical(&ref_dri, &worker.policy_run(&cfg), "healing fetch");
     assert_eq!(worker.stats().dri_remote_hits, 1);
@@ -252,7 +258,9 @@ fn corrupt_served_records_degrade_to_identical_recompute() {
 
     let server = serve(&central);
     let worker = SimSession::builder()
-        .remote(RemoteStore::new(server.addr().to_string()))
+        .sharded(ShardedStore::single(RemoteStore::new(
+            server.addr().to_string(),
+        )))
         .build();
     let dri = worker.policy_run(&cfg);
     assert_dri_identical(&run_dri_uncached(&cfg), &dri, "recompute after corruption");
@@ -274,7 +282,7 @@ fn dead_server_degrades_to_local_simulation() {
     let cfg = test_config();
     // Nothing listens here; connects fail fast.
     let worker = SimSession::builder()
-        .remote(RemoteStore::new("127.0.0.1:1"))
+        .sharded(ShardedStore::single(RemoteStore::new("127.0.0.1:1")))
         .build();
     let dri = worker.policy_run(&cfg);
     assert_dri_identical(

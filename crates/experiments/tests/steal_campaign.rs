@@ -29,7 +29,7 @@ use std::time::Duration;
 use dri_experiments::runner::ConventionalRun;
 use dri_experiments::search::{grid_configs, SearchSpace};
 use dri_experiments::steal::{drain, DrainOutcome};
-use dri_experiments::{DriRun, RemoteStore, ResultStore, RunConfig, SimSession};
+use dri_experiments::{DriRun, RemoteStore, ResultStore, RunConfig, ShardedStore, SimSession};
 use dri_serve::{FaultSpec, LeaseClaim, Server};
 use synth_workload::suite::Benchmark;
 
@@ -117,7 +117,7 @@ fn run_worker(
     unit_delay: Duration,
 ) -> (DrainOutcome, u64) {
     let session = SimSession::builder()
-        .remote(worker_remote(addr))
+        .sharded(ShardedStore::single(worker_remote(addr)))
         .push(true)
         .build();
     let control = worker_remote(addr);
@@ -203,7 +203,9 @@ fn two_healthy_workers_drain_the_campaign_with_zero_duplicate_simulations() {
     // A cold replayer gets the whole campaign remotely, bit-identical to
     // an isolated reference session, with zero simulations of its own.
     let reference = SimSession::builder().build();
-    let replayer = SimSession::builder().remote(RemoteStore::new(addr)).build();
+    let replayer = SimSession::builder()
+        .sharded(ShardedStore::single(RemoteStore::new(addr)))
+        .build();
     let grid: Vec<RunConfig> = units
         .iter()
         .flat_map(|u| unit_grid(benchmark_by_name(u)))
@@ -261,7 +263,7 @@ fn a_dead_workers_unit_is_reclaimed_and_the_chaos_drain_stays_bit_identical() {
         other => panic!("expected a grant, got {other:?}"),
     };
     let dying = SimSession::builder()
-        .remote(worker_remote(&addr))
+        .sharded(ShardedStore::single(worker_remote(&addr)))
         .push(true)
         .build();
     for cfg in unit_grid(benchmark_by_name(&doomed_unit)).iter().take(2) {
@@ -314,7 +316,9 @@ fn a_dead_workers_unit_is_reclaimed_and_the_chaos_drain_stays_bit_identical() {
     // bit-identically: a cold replay of the full grid needs zero local
     // simulations and matches an isolated reference session.
     let reference = SimSession::builder().build();
-    let replayer = SimSession::builder().remote(RemoteStore::new(addr)).build();
+    let replayer = SimSession::builder()
+        .sharded(ShardedStore::single(RemoteStore::new(addr)))
+        .build();
     let grid: Vec<RunConfig> = units
         .iter()
         .flat_map(|u| unit_grid(benchmark_by_name(u)))

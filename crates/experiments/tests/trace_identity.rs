@@ -26,17 +26,16 @@ fn tracing_never_perturbs_results_and_emits_parsable_tier_spans() {
     let _ = std::fs::remove_file(&trace_path);
     std::env::set_var(dri_telemetry::TRACE_ENV, &trace_path);
     assert!(trace::enabled(), "the sink must open the temp file");
-    assert!(
-        dri_telemetry::timing_enabled(),
-        "an open trace switches lookup timing on"
-    );
 
     let mut cfg = RunConfig::quick(Benchmark::Compress);
     cfg.instruction_budget = Some(80_000);
 
     // Timed + traced session: first lookups simulate, replays hit memory.
     let session = SimSession::builder().build();
-    assert!(session.is_timed());
+    assert!(
+        session.is_timed(),
+        "an open trace switches lookup timing on"
+    );
     let baseline = session.conventional(&cfg);
     let dri = session.policy_run(&cfg);
     let baseline_replay = session.conventional(&cfg);

@@ -27,11 +27,6 @@
 
 use dri_store::KeyHasher;
 
-/// Environment variable holding the shared write-path secret. Unset (or
-/// empty) on the server means writes are disabled entirely (`405`);
-/// unset on a worker means pushes are rejected by the server (`401`).
-pub const TOKEN_ENV: &str = "DRI_TOKEN";
-
 /// Request header carrying the keyed request tag (32 hex digits).
 pub const TOKEN_HEADER: &str = "x-dri-token";
 

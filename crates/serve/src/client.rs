@@ -9,10 +9,10 @@
 //! recomputes, exactly as it would for local corruption.
 //!
 //! The client is also built to *fail fast and stay out of the way*:
-//! short connect timeouts (tunable via [`TIMEOUT_ENV`]), bounded retry
-//! with exponential backoff for **transient** transport failures, and a
-//! circuit breaker that disables the remote tier for the rest of the
-//! process after [`MAX_CONSECUTIVE_ERRORS`] straight *exhausted* retry
+//! short socket timeouts (2 s to connect, 10 s to read or write),
+//! bounded retry with exponential backoff for **transient** transport
+//! failures, and a circuit breaker that disables the remote tier for
+//! the rest of the process after [`MAX_CONSECUTIVE_ERRORS`] straight *exhausted* retry
 //! rounds (with one warning) — a dead server must not add a timeout to
 //! every sweep point of a campaign. Failures split three ways:
 //!
@@ -42,10 +42,6 @@ use dri_telemetry::{trace, Histogram, Registry, Span, TraceEvent};
 
 use crate::http::read_response;
 
-/// Environment variable naming the remote result service
-/// (`host:port`, an optional `http://` prefix is accepted).
-pub const REMOTE_ENV: &str = "DRI_REMOTE";
-
 /// Transport failures tolerated before the breaker opens.
 pub const MAX_CONSECUTIVE_ERRORS: u32 = 3;
 
@@ -65,13 +61,6 @@ pub const BATCH_CHUNK: usize = 4096;
 /// answers for it per-entry.
 pub const PUSH_BODY_BUDGET: usize = 16 * 1024 * 1024;
 
-/// Environment variable overriding both socket timeouts, in
-/// milliseconds: connect uses the value as-is, read/write use five times
-/// it (a slow *response* is worth more patience than a dead *connect*).
-/// Unparsable or zero values warn once and fall back to the defaults,
-/// the `DRI_THREADS` convention.
-pub const TIMEOUT_ENV: &str = "DRI_REMOTE_TIMEOUT_MS";
-
 /// Attempts per exchange: the first try plus bounded retries for
 /// transient failures. Definitive answers (2xx/4xx) never retry.
 pub const RETRY_ATTEMPTS: u32 = 3;
@@ -81,52 +70,12 @@ pub const RETRY_ATTEMPTS: u32 = 3;
 const BACKOFF_BASE: Duration = Duration::from_millis(25);
 const BACKOFF_CAP: Duration = Duration::from_millis(200);
 
+/// Connect timeout of every exchange: a dead server costs this much,
+/// once per retry.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+/// Read and write timeout of every exchange: a slow *response* is worth
+/// more patience than a dead *connect*.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// The socket timeouts in force, resolved once per client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Timeouts {
-    connect: Duration,
-    io: Duration,
-}
-
-impl Timeouts {
-    fn default_pair() -> Timeouts {
-        Timeouts {
-            connect: CONNECT_TIMEOUT,
-            io: IO_TIMEOUT,
-        }
-    }
-
-    /// Resolves [`TIMEOUT_ENV`] (see its docs for the semantics).
-    fn from_env() -> Timeouts {
-        static WARNED: std::sync::Once = std::sync::Once::new();
-        let Ok(raw) = std::env::var(TIMEOUT_ENV) else {
-            return Timeouts::default_pair();
-        };
-        match parse_timeout_ms(&raw) {
-            Some(connect_ms) => Timeouts {
-                connect: Duration::from_millis(connect_ms),
-                io: Duration::from_millis(connect_ms.saturating_mul(5)),
-            },
-            None => {
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: ignoring unparsable {TIMEOUT_ENV}={raw:?} \
-                         (want a positive integer of milliseconds); using the defaults"
-                    );
-                });
-                Timeouts::default_pair()
-            }
-        }
-    }
-}
-
-/// `Some(ms)` for a positive integer, `None` otherwise.
-fn parse_timeout_ms(raw: &str) -> Option<u64> {
-    raw.trim().parse::<u64>().ok().filter(|&ms| ms > 0)
-}
 
 /// Backoff before retry number `attempt` (1-based): exponential from
 /// [`BACKOFF_BASE`], capped at [`BACKOFF_CAP`], plus a deterministic
@@ -402,8 +351,6 @@ pub struct RemoteStore {
     /// unaffected — this is narrower than the transport breaker.
     push_disabled: AtomicBool,
     consecutive_errors: AtomicU32,
-    /// Socket timeouts resolved at construction ([`TIMEOUT_ENV`]).
-    timeouts: Timeouts,
     /// Monotonic per-attempt salt feeding the backoff jitter.
     attempt_salt: AtomicU64,
     /// Wire round-trip latency per attempt (connect through response),
@@ -446,7 +393,6 @@ impl RemoteStore {
             disabled: AtomicBool::new(false),
             push_disabled: AtomicBool::new(false),
             consecutive_errors: AtomicU32::new(0),
-            timeouts: Timeouts::from_env(),
             attempt_salt: AtomicU64::new(0),
             exchange_latency: Registry::global().histogram(
                 "dri_client_exchange_ns",
@@ -464,21 +410,6 @@ impl RemoteStore {
             push_round_trips: AtomicU64::new(0),
             retries: AtomicU64::new(0),
         }
-    }
-
-    /// The client named by `DRI_REMOTE` — signing pushes with the
-    /// `DRI_TOKEN` secret when that is set too — or `None` when the
-    /// variable is unset or empty (the remote tier is strictly opt-in,
-    /// like the disk tier).
-    pub fn from_env() -> Option<Self> {
-        let addr = std::env::var(REMOTE_ENV).ok()?;
-        if addr.trim().is_empty() {
-            return None;
-        }
-        Some(Self::with_token(
-            addr,
-            std::env::var(crate::auth::TOKEN_ENV).ok(),
-        ))
     }
 
     /// The `host:port` this client targets.
@@ -1087,9 +1018,9 @@ impl RemoteStore {
         let addr = self.addr.to_socket_addrs()?.next().ok_or_else(|| {
             io::Error::new(io::ErrorKind::NotFound, "address resolved to nothing")
         })?;
-        let mut stream = TcpStream::connect_timeout(&addr, self.timeouts.connect)?;
-        stream.set_read_timeout(Some(self.timeouts.io))?;
-        stream.set_write_timeout(Some(self.timeouts.io))?;
+        let mut stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
+        stream.set_read_timeout(Some(IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(IO_TIMEOUT))?;
         // Sign only requests bound for the write endpoints: reads never
         // need a tag, and hashing a large `/batch` prefetch body (or
         // handing observers tags over known plaintexts) for an endpoint
@@ -1213,15 +1144,6 @@ mod tests {
         // Tail chunk ends at the slice end.
         assert_eq!(plan_push_chunk_end(&entries, 3, 100, 90), 4);
         assert_eq!(push_frame_len(&entries[0]), 1 + 3 + 4 + 16 + 8 + 10);
-    }
-
-    #[test]
-    fn timeout_env_values_parse_strictly() {
-        assert_eq!(parse_timeout_ms("250"), Some(250));
-        assert_eq!(parse_timeout_ms(" 1000 "), Some(1000));
-        for bad in ["", "0", "-5", "2s", "fast", "1.5"] {
-            assert_eq!(parse_timeout_ms(bad), None, "{bad:?}");
-        }
     }
 
     #[test]

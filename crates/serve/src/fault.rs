@@ -37,10 +37,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Environment variable holding the fault spec (absent/empty = no
-/// faults, the production default).
-pub const FAULT_ENV: &str = "DRI_FAULT";
-
 /// What to do to one connection (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
@@ -118,14 +114,6 @@ impl FaultSpec {
             clauses,
             connections: AtomicU64::new(0),
         })
-    }
-
-    /// Reads [`FAULT_ENV`]; `Ok(None)` when unset or empty.
-    pub fn from_env() -> Result<Option<FaultSpec>, String> {
-        match std::env::var(FAULT_ENV) {
-            Ok(spec) if !spec.trim().is_empty() => FaultSpec::parse(&spec).map(Some),
-            _ => Ok(None),
-        }
     }
 
     /// Advances the connection counter and returns the faults that fire
@@ -239,11 +227,5 @@ mod tests {
                 FaultAction::Drop
             ]
         );
-    }
-
-    #[test]
-    fn env_absent_means_no_faults() {
-        // FAULT_ENV is not set in the test environment.
-        assert!(matches!(FaultSpec::from_env(), Ok(None) | Ok(Some(_))));
     }
 }

@@ -92,7 +92,7 @@
 //! plain `key=value` text lines; all three endpoints require the same
 //! keyed request tag as the push path, so only trusted workers can
 //! schedule. The lease TTL comes from `DRI_LEASE_TTL_MS` (see
-//! [`server::lease_ttl_from_env`]). Wire format details live in
+//! [`config`]). Wire format details live in
 //! `ARCHITECTURE.md` §Campaign scheduler.
 //!
 //! ## Fault injection
@@ -107,8 +107,8 @@
 //! ## Concurrency
 //!
 //! One front end on every platform: a blocking accept loop hands each
-//! connection to a worker pool sized like `DRI_THREADS` (see
-//! [`default_workers`]), and applies backpressure by blocking once all
+//! connection to a worker pool sized by `DRI_THREADS` (see
+//! [`config`]), and applies backpressure by blocking once all
 //! workers are busy and the small handoff queue is full.
 //!
 //! ## Raw bytes on the wire
@@ -123,8 +123,8 @@
 //! One process serves one store; a *fleet* is N independent processes
 //! plus client-side routing. [`ShardedStore`] consistent-hashes every
 //! record key onto a deterministic [`dri_store::HashRing`] built from
-//! [`SHARDS_ENV`] (`DRI_SHARDS=addr1,addr2,...`), replicating each
-//! record to [`REPLICAS_ENV`] owners and failing reads over to
+//! `DRI_SHARDS=addr1,addr2,...`, replicating each record to
+//! `DRI_REPLICAS` owners (see [`config`]) and failing reads over to
 //! replicas when a shard dies — each shard keeps its own circuit
 //! breaker, so one dead shard degrades only its own keys.
 
@@ -132,31 +132,17 @@
 
 pub mod auth;
 pub mod client;
+pub mod config;
 pub mod fault;
 pub mod http;
 pub mod server;
 pub mod sharded;
 
-pub use auth::TOKEN_ENV;
 pub use client::{
     BatchEntry, LeaseClaim, LeaseError, PushOutcome, RemoteStats, RemoteStore, ServerStats,
-    BATCH_CHUNK, REMOTE_ENV, TIMEOUT_ENV,
+    BATCH_CHUNK,
 };
-pub use fault::{FaultSpec, FAULT_ENV};
-pub use server::{JournalConfig, ServeStats, Server, DEFAULT_LEASE_TTL_MS, LEASE_TTL_ENV};
-pub use sharded::{ShardedStore, DEFAULT_REPLICAS, REPLICAS_ENV, SHARDS_ENV};
-
-/// Worker threads for the connection pool: `DRI_THREADS` when set to a
-/// positive integer, otherwise the machine's available parallelism (the
-/// same sizing rule the simulation sweeps use).
-pub fn default_workers() -> usize {
-    std::env::var("DRI_THREADS")
-        .ok()
-        .and_then(|raw| raw.trim().parse::<usize>().ok())
-        .map(|n| n.max(1))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-}
+pub use config::FleetConfig;
+pub use fault::FaultSpec;
+pub use server::{JournalConfig, ServeStats, Server, DEFAULT_LEASE_TTL_MS};
+pub use sharded::{ShardedStore, DEFAULT_REPLICAS};

@@ -7,7 +7,7 @@
 //! DRI_TOKEN=s3cret dri-serve --store ...      # accept authenticated pushes
 //! ```
 //!
-//! Workers then point `DRI_REMOTE` at the printed address and replay
+//! Workers then point `DRI_SHARDS` at the printed address and replay
 //! warm grids with zero local simulations; workers holding the same
 //! `DRI_TOKEN` additionally push what they simulate (`DRI_PUSH=1`), so
 //! the store fills fleet-wide instead of per machine.
@@ -19,7 +19,8 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use dri_serve::{default_workers, server::lease_ttl_from_env, FaultSpec, Server, TOKEN_ENV};
+use dri_serve::config::{self, FleetConfig};
+use dri_serve::{FaultSpec, Server};
 use dri_store::ResultStore;
 
 const USAGE: &str = "\
@@ -50,57 +51,41 @@ environment:
   DRI_LEASE_TTL_MS  lease TTL granted to --steal workers (default 30000)
   DRI_FAULT         chaos spec, e.g. drop:7,delay:5:40,503:9,torn:11,
                     crash:17 — deterministic fault injection for tests;
-                    never set this on a production server";
+                    never set this on a production server
+A malformed value warns and the default is used; a malformed DRI_FAULT
+is fatal.";
 
-struct Args {
-    store: Option<String>,
-    addr: String,
-    workers: usize,
-    token: Option<String>,
-}
-
-fn parse_args(args: &[String]) -> Result<Args, String> {
-    let mut parsed = Args {
-        store: std::env::var("DRI_STORE").ok().filter(|s| !s.is_empty()),
-        addr: "127.0.0.1:7171".to_owned(),
-        workers: default_workers(),
-        token: std::env::var(TOKEN_ENV).ok().filter(|s| !s.is_empty()),
-    };
+/// Layers the command line onto `fleet`, with the settings' grammar;
+/// returns the bind address.
+fn parse_args(args: &[String], fleet: &mut FleetConfig) -> Result<String, String> {
+    let mut addr = "127.0.0.1:7171".to_owned();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--store" => {
-                parsed.store = Some(it.next().ok_or("--store needs a directory")?.clone());
-            }
+        let (name, what) = match arg.as_str() {
             "--addr" => {
-                parsed.addr = it.next().ok_or("--addr needs HOST:PORT")?.clone();
+                addr = it.next().ok_or("--addr needs HOST:PORT")?.clone();
+                continue;
             }
-            "--workers" => {
-                let raw = it.next().ok_or("--workers needs a positive integer")?;
-                parsed.workers = raw
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("--workers needs a positive integer, got `{raw}`"))?;
-            }
-            "--token" => {
-                // An empty value means "no token", exactly like the env
-                // path — otherwise the banner would claim a write path
-                // the server (which filters empty secrets) never enables.
-                parsed.token = Some(it.next().ok_or("--token needs a secret")?.clone())
-                    .filter(|t| !t.is_empty());
-            }
+            "--store" => (config::STORE_ENV, "a directory"),
+            "--workers" => (config::THREADS_ENV, "a positive integer"),
+            // An empty secret means "no token", exactly like the env path.
+            "--token" => (config::TOKEN_ENV, "a secret"),
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
-        }
+        };
+        let value = it.next().ok_or_else(|| format!("{arg} needs {what}"))?;
+        fleet
+            .set(name, value)
+            .map_err(|why| format!("{arg}: {why}"))?;
     }
-    Ok(parsed)
+    Ok(addr)
 }
 
 fn main() -> ExitCode {
+    let mut fleet = config::fleet().clone();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&args) {
-        Ok(args) => args,
+    let addr = match parse_args(&args, &mut fleet) {
+        Ok(addr) => addr,
         Err(msg) => {
             if msg.is_empty() {
                 println!("{USAGE}");
@@ -110,11 +95,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let Some(root) = args.store else {
+    let Some(root) = &fleet.store else {
         eprintln!("error: no store root (pass --store DIR or set DRI_STORE)\n\n{USAGE}");
         return ExitCode::FAILURE;
     };
-    let store = match ResultStore::open(&root) {
+    let store = match ResultStore::open(root) {
         Ok(store) => Arc::new(store),
         Err(err) => {
             eprintln!("error: cannot open store at `{root}`: {err}");
@@ -122,8 +107,8 @@ fn main() -> ExitCode {
         }
     };
     let usage = store.disk_usage();
-    let writable = args.token.is_some();
-    let faults = match FaultSpec::from_env() {
+    let writable = fleet.token.is_some();
+    let faults = match fleet.fault.as_deref().map(FaultSpec::parse).transpose() {
         Ok(faults) => faults,
         Err(msg) => {
             // A typo'd chaos spec must fail loudly at startup, not
@@ -135,16 +120,16 @@ fn main() -> ExitCode {
     let fault_banner = faults.as_ref().map(FaultSpec::describe);
     let server = match Server::bind_with_journal(
         Arc::clone(&store),
-        args.addr.as_str(),
-        args.workers,
-        args.token,
-        lease_ttl_from_env(),
+        addr.as_str(),
+        fleet.threads,
+        fleet.token.clone(),
+        fleet.lease_ttl_ms,
         faults,
         None,
     ) {
         Ok(server) => server,
         Err(err) => {
-            eprintln!("error: cannot bind `{}`: {err}", args.addr);
+            eprintln!("error: cannot bind `{addr}`: {err}");
             return ExitCode::FAILURE;
         }
     };
@@ -152,7 +137,7 @@ fn main() -> ExitCode {
         eprintln!("dri-serve: FAULT INJECTION ACTIVE ({spec}) — chaos-test mode");
     }
     eprintln!("dri-serve: group-commit journal on");
-    if let Some((shards, replicas)) = dri_serve::sharded::fleet_membership_from_env() {
+    if let Some((shards, replicas)) = fleet.membership() {
         eprintln!("dri-serve: fleet member ({shards} shards, {replicas} replicas per key)");
     }
     // The listening line goes to stdout so scripts can capture the
@@ -162,7 +147,7 @@ fn main() -> ExitCode {
         "dri-serve: store {root} ({} records, {} bytes), {} workers; {} — Ctrl-C to stop",
         usage.records,
         usage.bytes,
-        args.workers,
+        fleet.threads,
         if writable {
             "accepting authenticated pushes (DRI_TOKEN)"
         } else {

@@ -4,7 +4,7 @@
 //! One connection front end feeds the routing core (`respond`): a
 //! blocking accept loop hands each connection to a pool of workers over
 //! a bounded channel. The pool is sized like the simulation fan-out
-//! (`DRI_THREADS`, see [`crate::default_workers`]). When every worker is
+//! (`DRI_THREADS`, see [`crate::config::FleetConfig::threads`]). When every worker is
 //! busy and the small queue is full, the accept loop blocks — clients
 //! time out, treat it as a miss, and simulate locally rather than pile
 //! up.
@@ -43,36 +43,10 @@ use crate::http::{read_request, render_head, write_response, Request};
 
 /// Per-connection I/O timeout: a stalled peer releases its worker.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
-/// Environment variable overriding the lease TTL handed to `--steal`
-/// workers, in milliseconds.
-pub const LEASE_TTL_ENV: &str = "DRI_LEASE_TTL_MS";
 /// Default lease TTL: long enough that a quick-mode unit's heartbeat
 /// cadence (TTL/3) never races a healthy worker, short enough that a
 /// killed worker's units are reclaimed within a CI-friendly window.
 pub const DEFAULT_LEASE_TTL_MS: u64 = 30_000;
-
-/// Reads [`LEASE_TTL_ENV`]: unset means [`DEFAULT_LEASE_TTL_MS`]; a
-/// present-but-unparsable (or zero) value warns once and falls back to
-/// the default rather than erroring — the `DRI_THREADS` convention.
-pub fn lease_ttl_from_env() -> u64 {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    let Ok(raw) = std::env::var(LEASE_TTL_ENV) else {
-        return DEFAULT_LEASE_TTL_MS;
-    };
-    match raw.trim().parse::<u64>() {
-        Ok(ms) if ms > 0 => ms,
-        _ => {
-            WARNED.call_once(|| {
-                eprintln!(
-                    "dri-serve: ignoring unparsable {LEASE_TTL_ENV}={raw:?} \
-                     (want a positive integer of milliseconds); \
-                     using {DEFAULT_LEASE_TTL_MS}"
-                );
-            });
-            DEFAULT_LEASE_TTL_MS
-        }
-    }
-}
 
 /// Most record references one `/batch` request — or record frames one
 /// `/batch-put` request — may carry; longer bodies are rejected wholesale
@@ -451,7 +425,7 @@ struct Shared {
     /// Durable work-unit lease table under the store root, brokered to
     /// `--steal` workers over `/lease/*` (gated by the same write token).
     broker: LeaseBroker,
-    /// TTL granted on every claim and renewal ([`LEASE_TTL_ENV`]).
+    /// TTL granted on every claim and renewal (`DRI_LEASE_TTL_MS`).
     lease_ttl_ms: u64,
     /// The chaos layer: `Some` only when `DRI_FAULT` asked for it.
     faults: Option<FaultSpec>,
@@ -563,7 +537,7 @@ impl Server {
             faults,
             journal,
             window: CommitWindow::new(config.commit_window),
-            ring: crate::sharded::fleet_membership_from_env(),
+            ring: crate::config::fleet().membership(),
         });
         let accept = spawn_threaded(
             listener,

@@ -2,9 +2,9 @@
 //! processes by consistent-hashing each record key onto a
 //! [`HashRing`].
 //!
-//! A fleet is named by [`SHARDS_ENV`] (`DRI_SHARDS=addr1,addr2,...`);
-//! every record key has [`REPLICAS_ENV`] owners (`DRI_REPLICAS`,
-//! default [`DEFAULT_REPLICAS`]) in deterministic failover order.
+//! A fleet is named by `DRI_SHARDS=addr1,addr2,...`; every record key
+//! has `DRI_REPLICAS` owners (default [`DEFAULT_REPLICAS`]) in
+//! deterministic failover order (see [`crate::config`]).
 //! Because the ring canonicalizes membership, every worker in a fleet —
 //! whatever order its env var lists the shards in — routes every key to
 //! the same servers.
@@ -23,28 +23,16 @@
 //! Each shard keeps its own [`RemoteStore`] — and therefore its own
 //! circuit breaker, retry budget, and negative-result accounting — so
 //! one dead shard cannot poison the client's view of the others. A
-//! single-remote deployment (`DRI_REMOTE`, no `DRI_SHARDS`) is just the
-//! degenerate one-shard fleet; [`ShardedStore::single`] wraps it with
-//! zero behavior change.
+//! single `dri-serve` instance is just the degenerate one-shard fleet;
+//! [`ShardedStore::single`] wraps one [`RemoteStore`] as such.
 
 use dri_store::HashRing;
 
 use crate::client::{BatchEntry, PushOutcome, RemoteStats, RemoteStore, ServerStats};
 
-/// Environment variable naming the serve fleet: a comma-separated list
-/// of `host:port` addresses (an `http://` prefix is accepted per
-/// entry). When unset, the client falls back to the single-remote
-/// `DRI_REMOTE` protocol.
-pub const SHARDS_ENV: &str = "DRI_SHARDS";
-
-/// Environment variable setting how many distinct shards own each
-/// record key (clamped to the fleet size). Malformed values warn once
-/// and fall back to [`DEFAULT_REPLICAS`].
-pub const REPLICAS_ENV: &str = "DRI_REPLICAS";
-
-/// Replication factor when [`REPLICAS_ENV`] is unset: every record
-/// lives on two shards, so any single shard death keeps every record
-/// readable.
+/// Replication factor when [`crate::config::REPLICAS_ENV`] is unset:
+/// every record lives on two shards, so any single shard death keeps
+/// every record readable.
 pub const DEFAULT_REPLICAS: usize = 2;
 
 /// A client for a consistent-hashed fleet of record servers.
@@ -57,65 +45,6 @@ pub struct ShardedStore {
     ring: HashRing,
     /// One client per shard, in `ring.shards()` order.
     shards: Vec<RemoteStore>,
-}
-
-/// Splits and canonicalizes a [`SHARDS_ENV`] value. `Err` when no
-/// shard survives or any entry lacks a `host:port` shape.
-fn parse_shard_list(raw: &str) -> Result<Vec<String>, String> {
-    let shards: Vec<String> = raw
-        .split(',')
-        .map(|entry| {
-            let entry = entry.trim();
-            entry
-                .strip_prefix("http://")
-                .unwrap_or(entry)
-                .trim_end_matches('/')
-                .to_owned()
-        })
-        .filter(|entry| !entry.is_empty())
-        .collect();
-    if shards.is_empty() {
-        return Err("no shard addresses".to_owned());
-    }
-    for shard in &shards {
-        if !shard.contains(':') {
-            return Err(format!("shard {shard:?} is not host:port"));
-        }
-    }
-    Ok(shards)
-}
-
-/// Resolves [`REPLICAS_ENV`]: a positive integer, else warn once and
-/// use [`DEFAULT_REPLICAS`] (the `DRI_THREADS` convention).
-fn replicas_from_env() -> usize {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    let Ok(raw) = std::env::var(REPLICAS_ENV) else {
-        return DEFAULT_REPLICAS;
-    };
-    match raw.trim().parse::<usize>().ok().filter(|&n| n > 0) {
-        Some(n) => n,
-        None => {
-            WARNED.call_once(|| {
-                eprintln!(
-                    "warning: ignoring unparsable {REPLICAS_ENV}={raw:?} \
-                     (want a positive integer); using {DEFAULT_REPLICAS}"
-                );
-            });
-            DEFAULT_REPLICAS
-        }
-    }
-}
-
-/// Fleet membership as the *server* reports it in `/stats` and
-/// `/metrics`: `(shard count, effective replicas)` when this process's
-/// environment names a well-formed fleet, `None` otherwise. Quiet by
-/// design — the serving process merely advertises the topology it was
-/// launched under; the client side owns the warnings.
-pub fn fleet_membership_from_env() -> Option<(u64, u64)> {
-    let raw = std::env::var(SHARDS_ENV).ok()?;
-    let shards = parse_shard_list(&raw).ok()?;
-    let ring = HashRing::new(shards, replicas_from_env()).ok()?;
-    Some((ring.shards().len() as u64, ring.replicas() as u64))
 }
 
 impl ShardedStore {
@@ -145,39 +74,6 @@ impl ShardedStore {
         ShardedStore {
             ring,
             shards: vec![remote],
-        }
-    }
-
-    /// The fleet named by the environment: [`SHARDS_ENV`] when set and
-    /// well-formed (with [`REPLICAS_ENV`] replication and the
-    /// `DRI_TOKEN` push secret), otherwise the single-remote
-    /// `DRI_REMOTE` fallback, otherwise `None` — the remote tier stays
-    /// strictly opt-in. A malformed shard list warns once and falls
-    /// back to the single-remote protocol rather than panicking: a
-    /// worker with a typo'd fleet is degraded, not dead.
-    pub fn from_env() -> Option<Self> {
-        static WARNED: std::sync::Once = std::sync::Once::new();
-        let raw = match std::env::var(SHARDS_ENV) {
-            Ok(raw) if !raw.trim().is_empty() => raw,
-            _ => return RemoteStore::from_env().map(ShardedStore::single),
-        };
-        match parse_shard_list(&raw) {
-            Ok(shards) => {
-                let replicas = replicas_from_env();
-                let token = std::env::var(crate::auth::TOKEN_ENV).ok();
-                // parse_shard_list guarantees a non-empty list.
-                Some(Self::new(shards, replicas, token).expect("non-empty shard list"))
-            }
-            Err(why) => {
-                WARNED.call_once(|| {
-                    eprintln!(
-                        "warning: ignoring malformed {SHARDS_ENV}={raw:?} ({why}); \
-                         falling back to single-remote {}",
-                        crate::client::REMOTE_ENV
-                    );
-                });
-                RemoteStore::from_env().map(ShardedStore::single)
-            }
         }
     }
 
@@ -433,19 +329,6 @@ fn merge_push(a: PushOutcome, b: PushOutcome) -> PushOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_and_canonicalizes_shard_lists() {
-        let shards =
-            parse_shard_list("http://127.0.0.1:7171/, 127.0.0.1:7172 ,,127.0.0.1:7173").unwrap();
-        assert_eq!(
-            shards,
-            ["127.0.0.1:7171", "127.0.0.1:7172", "127.0.0.1:7173"]
-        );
-        assert!(parse_shard_list("").is_err());
-        assert!(parse_shard_list(" , ,").is_err());
-        assert!(parse_shard_list("127.0.0.1:7171,nonsense").is_err());
-    }
 
     #[test]
     fn single_is_a_one_shard_fleet() {

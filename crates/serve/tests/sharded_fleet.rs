@@ -7,7 +7,8 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use dri_serve::{BatchEntry, PushOutcome, Server, ShardedStore};
+use dri_serve::config::{REPLICAS_ENV, SHARDS_ENV};
+use dri_serve::{BatchEntry, FleetConfig, PushOutcome, Server, ShardedStore};
 use dri_store::{frame_record, ResultStore};
 
 const TOKEN: &str = "fleet-secret";
@@ -156,28 +157,47 @@ fn fleet_replicates_writes_splits_reads_and_survives_a_shard_death() {
 }
 
 #[test]
-fn single_remote_fallback_on_malformed_shard_list() {
-    // Malformed DRI_SHARDS must warn and degrade to the single-remote
-    // protocol, never panic (this test owns both variables for its
-    // duration; no other test in this binary reads them).
-    std::env::set_var(dri_serve::SHARDS_ENV, "not-an-address");
-    std::env::set_var(dri_serve::REMOTE_ENV, "127.0.0.1:19");
-    let fallback = ShardedStore::from_env().expect("fallback to DRI_REMOTE");
-    assert!(!fallback.is_sharded());
-    assert_eq!(fallback.describe(), "127.0.0.1:19");
+fn fleet_config_names_the_remote_tier() {
+    // Malformed DRI_SHARDS warns and attaches no remote tier: a worker
+    // with a typo'd fleet is degraded, never dead.
+    let (config, warnings) = FleetConfig::from_vars([(SHARDS_ENV, "not-an-address")]);
+    assert_eq!(warnings.len(), 1, "{warnings:?}");
+    assert!(warnings[0].contains(SHARDS_ENV), "{warnings:?}");
+    assert!(config.remote().is_none());
+    assert_eq!(config.membership(), None);
 
-    // A well-formed list routes as a fleet, with replicas from the env.
-    std::env::set_var(dri_serve::SHARDS_ENV, "127.0.0.1:19,127.0.0.1:21");
-    std::env::set_var(dri_serve::REPLICAS_ENV, "2");
-    let fleet = ShardedStore::from_env().expect("fleet from env");
+    // One address is a single server: a one-shard fleet.
+    let (config, _) = FleetConfig::from_vars([(SHARDS_ENV, "http://127.0.0.1:19/")]);
+    let single = config.remote().expect("one-shard fleet");
+    assert!(!single.is_sharded());
+    assert_eq!(single.describe(), "127.0.0.1:19");
+    assert_eq!(
+        config.membership(),
+        Some((1, 1)),
+        "replicas clamp to the fleet"
+    );
+
+    // A well-formed list routes as a fleet, with replicas from the
+    // settings and membership in canonical order however it is listed.
+    let (config, warnings) = FleetConfig::from_vars([
+        (SHARDS_ENV, "127.0.0.1:21,127.0.0.1:19"),
+        (REPLICAS_ENV, "2"),
+    ]);
+    assert!(warnings.is_empty(), "{warnings:?}");
+    let fleet = config.remote().expect("fleet");
     assert!(fleet.is_sharded());
     assert_eq!(fleet.ring().replicas(), 2);
+    assert_eq!(fleet.ring().shards(), ["127.0.0.1:19", "127.0.0.1:21"]);
+    assert_eq!(fleet.describe(), "127.0.0.1:19,127.0.0.1:21 (x2)");
+    assert_eq!(
+        config.membership(),
+        Some((2, 2)),
+        "what the servers advertise"
+    );
 
-    // And with no fleet *and* no single remote, the tier stays opt-in.
-    std::env::remove_var(dri_serve::SHARDS_ENV);
-    std::env::remove_var(dri_serve::REPLICAS_ENV);
-    std::env::remove_var(dri_serve::REMOTE_ENV);
-    assert!(ShardedStore::from_env().is_none());
+    // And with no fleet named, the tier stays opt-in.
+    let (config, _) = FleetConfig::from_vars(std::iter::empty::<(&str, &str)>());
+    assert!(config.remote().is_none());
 }
 
 #[test]

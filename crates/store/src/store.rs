@@ -18,10 +18,6 @@ const HEADER_LEN: usize = 4 + 4 + 16 + 8;
 /// FNV-1a 64 over header + payload, appended after the payload.
 const CHECKSUM_LEN: usize = 8;
 
-/// Environment variable naming the store root. Unset (or empty) disables
-/// the disk tier entirely, which keeps tests hermetic by default.
-pub const STORE_ENV: &str = "DRI_STORE";
-
 /// File at the store root holding the current GC generation (ASCII u64).
 pub(crate) const GENERATION_FILE: &str = "generation";
 
@@ -156,28 +152,6 @@ impl ResultStore {
                 "disk-tier record save latency (frame + write + fsync + rename)",
             ),
         })
-    }
-
-    /// Opens the store named by the `DRI_STORE` environment variable, or
-    /// `None` when the variable is unset/empty or the root is unusable
-    /// (an unusable root warns once rather than failing the run — the
-    /// store is an accelerator, not a dependency).
-    pub fn from_env() -> Option<Self> {
-        let root = std::env::var_os(STORE_ENV)?;
-        if root.is_empty() {
-            return None;
-        }
-        match Self::open(PathBuf::from(&root)) {
-            Ok(store) => Some(store),
-            Err(err) => {
-                eprintln!(
-                    "warning: {STORE_ENV}={} is not usable as a result store ({err}); \
-                     continuing without the disk cache",
-                    root.to_string_lossy()
-                );
-                None
-            }
-        }
     }
 
     /// The store's root directory.
@@ -589,14 +563,5 @@ mod tests {
         let reopened = ResultStore::open(store.root()).expect("reopen");
         assert_eq!(reopened.generation(), 5);
         let _ = fs::remove_dir_all(store.root());
-    }
-
-    #[test]
-    fn empty_env_disables_the_store() {
-        // `from_env` reads the ambient environment; only assert on the
-        // cases this test can see without mutating global state.
-        if std::env::var_os(STORE_ENV).is_none() {
-            assert!(ResultStore::from_env().is_none());
-        }
     }
 }

@@ -27,10 +27,10 @@
 //!
 //! Microsecond-and-up edges (disk, network, simulation) are always
 //! timed. The *memory-tier* lookup path is ~300 ns hot — two clock
-//! reads would be visible — so sub-microsecond timing is opt-in via
-//! [`timing_enabled`]: on when tracing is on, when [`TIMING_ENV`] is
-//! set truthy (the `suite` binary sets it for its per-tier latency
-//! table), or when a session is built with timing forced.
+//! reads would be visible — so sub-microsecond timing is opt-in: on
+//! when tracing is on ([`trace::enabled`]), or when a session is built
+//! with timing forced (the `suite` binary does, for its per-tier
+//! latency table).
 
 #![warn(missing_docs)]
 
@@ -39,27 +39,3 @@ pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, Registry};
 pub use trace::{Span, TraceEvent, TRACE_ENV};
-
-/// Environment variable opting into sub-microsecond (memory-tier)
-/// timing: `DRI_TIMING=1`. Unset/`0` keeps the ~300 ns warm lookup path
-/// free of clock reads; `suite` sets it so the summary's per-tier
-/// latency table always includes the memory tier.
-pub const TIMING_ENV: &str = "DRI_TIMING";
-
-/// Whether fine-grained (memory-tier) timing is on: tracing active, or
-/// [`TIMING_ENV`] set to anything but `0`/`false`/empty. Resolved once
-/// per process.
-pub fn timing_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| {
-        if trace::enabled() {
-            return true;
-        }
-        std::env::var(TIMING_ENV)
-            .map(|v| {
-                let v = v.trim();
-                !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false")
-            })
-            .unwrap_or(false)
-    })
-}
