@@ -167,9 +167,10 @@ pub enum PushOutcome {
     /// token, a read-only server, or a frame that failed validation.
     /// Retrying without changing something is wasted traffic.
     Rejected,
-    /// The record's fate is unknown: a transport failure or a truncated
-    /// response. The record survives in the worker's local tiers either
-    /// way, so the worst case is another worker re-simulating it.
+    /// The record's fate is unknown: a transport failure, a truncated
+    /// response, or a 5xx that outlasted every retry. The record
+    /// survives in the worker's local tiers either way, so the worst
+    /// case is another worker re-simulating it.
     Failed,
 }
 
@@ -624,30 +625,12 @@ impl RemoteStore {
             return PushOutcome::Failed;
         }
         let path = format!("/record/{kind}/v{schema}/{key:032x}");
-        match self.exchange("PUT", &path, record) {
-            Ok((status, _)) => {
-                self.push_round_trips.fetch_add(1, Ordering::Relaxed);
-                self.consecutive_errors.store(0, Ordering::Relaxed);
-                match status {
-                    200 => {
-                        self.records_accepted.fetch_add(1, Ordering::Relaxed);
-                        PushOutcome::Accepted
-                    }
-                    401 | 405 => {
-                        self.writes_rejected.fetch_add(1, Ordering::Relaxed);
-                        self.auth_rejected(status);
-                        PushOutcome::Rejected
-                    }
-                    _ => {
-                        self.writes_rejected.fetch_add(1, Ordering::Relaxed);
-                        PushOutcome::Rejected
-                    }
-                }
+        match self.push_answer(self.exchange("PUT", &path, record), 1) {
+            Ok(_) => {
+                self.records_accepted.fetch_add(1, Ordering::Relaxed);
+                PushOutcome::Accepted
             }
-            Err(_) => {
-                self.transport_error();
-                PushOutcome::Failed
-            }
+            Err((outcome, _)) => outcome,
         }
     }
 
@@ -709,10 +692,8 @@ impl RemoteStore {
             body.extend_from_slice(&(record.len() as u64).to_le_bytes());
             body.extend_from_slice(record);
         }
-        match self.exchange("POST", "/batch-put", &body) {
-            Ok((200, statuses)) => {
-                self.push_round_trips.fetch_add(1, Ordering::Relaxed);
-                self.consecutive_errors.store(0, Ordering::Relaxed);
+        match self.push_answer(self.exchange("POST", "/batch-put", &body), entries.len()) {
+            Ok(statuses) => {
                 let outcomes: Vec<PushOutcome> = (0..entries.len())
                     .map(|i| match statuses.get(i) {
                         Some(1) => {
@@ -729,29 +710,48 @@ impl RemoteStore {
                     .collect();
                 (outcomes, 1)
             }
-            Ok((status @ (401 | 405), _)) => {
+            Err((outcome, round_trips)) => (vec![outcome; entries.len()], round_trips),
+        }
+    }
+
+    /// Classifies a push exchange's final answer for both push paths:
+    /// `Ok(body)` on a 200, otherwise the outcome of all `records` in
+    /// the request plus the round-trips it cost. A 401/405 is a
+    /// definitive auth rejection that latches pushes off; any other 4xx
+    /// (e.g. a structural 400) definitively rejects this request only.
+    /// A 5xx — which [`Self::exchange`] returns only after every retry
+    /// failed — is a failure like a transport error: the server
+    /// rejected nothing, and it counts against the breaker.
+    fn push_answer(
+        &self,
+        answer: io::Result<(u16, Vec<u8>)>,
+        records: usize,
+    ) -> Result<Vec<u8>, (PushOutcome, u64)> {
+        let status = match answer {
+            Ok((200, body)) => {
                 self.push_round_trips.fetch_add(1, Ordering::Relaxed);
                 self.consecutive_errors.store(0, Ordering::Relaxed);
-                self.writes_rejected
-                    .fetch_add(entries.len() as u64, Ordering::Relaxed);
-                self.auth_rejected(status);
-                (vec![PushOutcome::Rejected; entries.len()], 1)
+                return Ok(body);
             }
-            Ok(_) => {
-                // The server answered (e.g. a structural 400): definitive
-                // for this batch, but not an auth problem — later batches
-                // may be fine.
-                self.push_round_trips.fetch_add(1, Ordering::Relaxed);
-                self.consecutive_errors.store(0, Ordering::Relaxed);
-                self.writes_rejected
-                    .fetch_add(entries.len() as u64, Ordering::Relaxed);
-                (vec![PushOutcome::Rejected; entries.len()], 1)
-            }
+            Ok((status, _)) => status,
             Err(_) => {
                 self.transport_error();
-                (vec![PushOutcome::Failed; entries.len()], 0)
+                return Err((PushOutcome::Failed, 0));
             }
+        };
+        // The exchange happened, whatever the server answered.
+        self.push_round_trips.fetch_add(1, Ordering::Relaxed);
+        if status >= 500 {
+            self.transport_error();
+            return Err((PushOutcome::Failed, 1));
         }
+        self.consecutive_errors.store(0, Ordering::Relaxed);
+        self.writes_rejected
+            .fetch_add(records as u64, Ordering::Relaxed);
+        if matches!(status, 401 | 405) {
+            self.auth_rejected(status);
+        }
+        Err((PushOutcome::Rejected, 1))
     }
 
     /// `POST /lease/claim`: asks the scheduler for one unit of

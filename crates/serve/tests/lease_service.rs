@@ -2,14 +2,15 @@
 //! authenticated claim/renew/complete, expiry-then-reclaim between two
 //! worker clients, lease stats in `/stats`, and the fault-injection
 //! layer (503s retried transparently, torn responses caught by the
-//! client's end-to-end checks, drops survived by backoff).
+//! client's end-to-end checks, drops survived by backoff, and a push
+//! whose every attempt got a 503 reported as failed, not rejected).
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use dri_serve::{FaultSpec, LeaseClaim, LeaseError, RemoteStore, Server};
-use dri_store::ResultStore;
+use dri_serve::{FaultSpec, LeaseClaim, LeaseError, PushOutcome, RemoteStore, Server};
+use dri_store::{frame_record, ResultStore};
 
 const TOKEN: &str = "lease-test-secret";
 
@@ -273,6 +274,29 @@ fn dropped_connections_exhaust_into_breaker_counts_only_once_per_call() {
         "the other attempts were retries, not strikes"
     );
     assert!(!w.is_disabled(), "one strike is not enough to latch");
+    server.shutdown();
+    let _ = fs::remove_dir_all(root);
+}
+
+#[test]
+fn pushes_that_exhaust_their_retries_on_5xx_fail_rather_than_reject() {
+    // Every connection answers 503 without routing: the server rejects
+    // nothing, so the client must not report a rejection either.
+    let (server, _store, root) = serve("push-503", 60_000, Some("503:1"));
+    let w = worker(&server);
+    let record = frame_record(1, 0x503, b"never lands");
+    let (batch, _) = w.push_batch(&[("dri", 1, 0x503, record.as_slice())]);
+    assert_eq!(batch, vec![PushOutcome::Failed]);
+    assert_eq!(w.push("dri", 1, 0x503, &record), PushOutcome::Failed);
+
+    let stats = w.stats();
+    assert_eq!(
+        stats.errors, 2,
+        "each exhausted round is one breaker strike"
+    );
+    assert_eq!(stats.writes_rejected, 0);
+    assert_eq!(server.stats().writes_rejected, 0, "the mirror holds");
+    assert!(!w.is_push_disabled(), "a 5xx is not an auth rejection");
     server.shutdown();
     let _ = fs::remove_dir_all(root);
 }

@@ -8,6 +8,8 @@ use dri::cpu::core::Core;
 use dri::dri::{DriConfig, DriICache};
 use dri::energy::params::EnergyParams;
 use dri::experiments::runner::compare_with_baseline;
+use dri::experiments::search::{search_benchmark, SearchSpace};
+use dri::experiments::sweeps::{geometry_sweep, miss_bound_sweep, size_bound_sweep};
 use dri::experiments::{run_conventional, run_dri, RunConfig};
 use dri::workload::suite::Benchmark;
 
@@ -80,6 +82,53 @@ fn full_size_bound_is_exactly_the_baseline() {
     let c = compare_with_baseline(&cfg, &baseline, &dri);
     assert!((c.relative_energy_delay - 1.0).abs() < 1e-9);
     assert_eq!(c.extra_l2_accesses, 0);
+}
+
+#[test]
+fn figure_pipelines_price_every_point_finitely() {
+    // One quick search per benchmark class (Figure 3) and the Figure 4-6
+    // sweeps around a fixed operating point: every relative energy-delay
+    // they report must be a number.
+    let point = |b: Benchmark, budget: u64, size_bound: u64| {
+        let mut cfg = quick(b);
+        cfg.instruction_budget = Some(budget);
+        cfg.dri.size_bound_bytes = size_bound;
+        cfg
+    };
+    let mut eds = Vec::new();
+    for b in [Benchmark::Compress, Benchmark::Perl, Benchmark::Ijpeg] {
+        let mut base = RunConfig::quick(b);
+        base.instruction_budget = Some(250_000);
+        let r = search_benchmark(&base, &SearchSpace::quick());
+        eds.push((format!("figure3 {}", b.name()), r.constrained));
+    }
+    let s = miss_bound_sweep(&point(Benchmark::Compress, 250_000, 4 * 1024));
+    for (what, c) in [("half", s.half), ("base", s.base), ("double", s.double)] {
+        eds.push((format!("figure4 {what}"), c));
+    }
+    let s = size_bound_sweep(&point(Benchmark::Li, 250_000, 8 * 1024));
+    for (what, c) in [
+        ("double", s.double),
+        ("base", Some(s.base)),
+        ("half", s.half),
+    ] {
+        eds.extend(c.map(|c| (format!("figure5 {what}"), c)));
+    }
+    let s = geometry_sweep(&point(Benchmark::Mgrid, 200_000, 2 * 1024));
+    for (what, c) in [
+        ("64K 4-way", s.assoc_4way),
+        ("64K DM", s.dm_64k),
+        ("128K DM", s.dm_128k),
+    ] {
+        eds.push((format!("figure6 {what}"), c));
+    }
+    for (what, c) in eds {
+        assert!(
+            c.relative_energy_delay.is_finite(),
+            "{what}: rel-ED {}",
+            c.relative_energy_delay
+        );
+    }
 }
 
 #[test]
