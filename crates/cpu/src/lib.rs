@@ -10,7 +10,12 @@
 //!   chooser, BTB, return-address stack);
 //! * [`core`] — the dataflow-scheduling timing model, generic over the
 //!   [`cache_sim::icache::InstCache`] on its fetch path — which is exactly
-//!   where the conventional baseline and the DRI i-cache swap in;
+//!   where the conventional baseline and the DRI i-cache swap in. It is
+//!   split into a [`FrontHalf`] (interpreter + predictor) that fills
+//!   batches of committed-instruction [`Event`]s and per-configuration
+//!   [`BackHalf`]s that time them, so one interpretation of a stream can
+//!   drive many configurations; [`Core`] is one front half driving one
+//!   back half;
 //! * [`stats`] — run counters (cycles, IPC, stalls, redirects).
 //!
 //! ## Example
@@ -40,5 +45,5 @@ pub mod stats;
 
 pub use bpred::{HybridPredictor, PredictorConfig, PredictorStats};
 pub use config::{CpuConfig, FuPools};
-pub use core::{Core, RunResult};
+pub use core::{BackHalf, Core, Event, FrontHalf, RunResult};
 pub use stats::CpuStats;

@@ -4,6 +4,7 @@ use crate::config::config;
 use crate::runner::RunConfig;
 use crate::search::SearchSpace;
 use dri_core::PolicyConfig;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use synth_workload::suite::Benchmark;
 
 /// Worker threads to use for benchmark- and sweep-level parallelism:
@@ -18,7 +19,29 @@ pub fn threads() -> usize {
 /// nested maps (a per-benchmark fan-out whose body runs a per-point
 /// fan-out) share one budget instead of multiplying to `threads()²`
 /// CPU-bound threads.
-static ACTIVE_WORKERS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+static ACTIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
+
+/// Returns a [`parallel_map`]'s workers to the budget when the map ends,
+/// whether its scope returned or re-raised a worker's panic.
+struct Reserved(usize);
+
+impl Drop for Reserved {
+    fn drop(&mut self) {
+        ACTIVE_WORKERS.fetch_sub(self.0, Ordering::SeqCst);
+    }
+}
+
+/// The workers a [`parallel_map`] over `items` items would be granted
+/// right now: what is left of the [`threads`] budget, at most one per
+/// item and at least one (the calling thread, running inline). Grid
+/// simulation sizes its lockstep groups from this, so the split and the
+/// fan-out that runs it cannot drift apart.
+pub fn granted_workers(items: usize) -> usize {
+    threads()
+        .saturating_sub(ACTIVE_WORKERS.load(Ordering::SeqCst))
+        .min(items)
+        .max(1)
+}
 
 /// Applies `f` to every item across scoped workers (at most [`threads`]
 /// process-wide, shared with any enclosing `parallel_map`), returning
@@ -29,14 +52,13 @@ static ACTIVE_WORKERS: std::sync::atomic::AtomicUsize = std::sync::atomic::Atomi
 /// Work is claimed from a shared atomic cursor, so uneven item costs
 /// (a thrashing sweep point next to a quiet one) still pack tightly.
 pub fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    use std::sync::atomic::Ordering;
-    let budget = threads().saturating_sub(ACTIVE_WORKERS.load(Ordering::SeqCst));
-    let workers = budget.min(items.len());
+    let workers = granted_workers(items.len());
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
     ACTIVE_WORKERS.fetch_add(workers, Ordering::SeqCst);
-    let next = std::sync::atomic::AtomicUsize::new(0);
+    let _reserved = Reserved(workers);
+    let next = AtomicUsize::new(0);
     let results = std::sync::Mutex::new(Vec::with_capacity(items.len()));
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -50,7 +72,6 @@ pub fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -
             });
         }
     });
-    ACTIVE_WORKERS.fetch_sub(workers, Ordering::SeqCst);
     let mut indexed = results.into_inner().expect("parallel_map results");
     indexed.sort_by_key(|(i, _)| *i);
     indexed.into_iter().map(|(_, r)| r).collect()

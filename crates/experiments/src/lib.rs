@@ -72,7 +72,7 @@ pub use search::{
     grid_configs, search_all, search_benchmark, SearchResult, SearchSpace, SLOWDOWN_CONSTRAINT,
 };
 pub use session::{
-    prefetch_grid, push_grid, PrefetchStats, PushStats, SessionBuilder, SessionStats, SimSession,
-    TierLatency,
+    prefetch_grid, push_grid, GridRuns, PrefetchStats, PushStats, SessionBuilder, SessionStats,
+    SimSession, TierLatency,
 };
 pub use steal::{campaign_id, drain, DrainOutcome};

@@ -9,10 +9,17 @@
 //! the two (extra L2 accesses are measured against the baseline run).
 //!
 //! The policy side is generic over `InstCache + LeakagePolicy`
-//! ([`cache_sim::policy::LeakagePolicy`]): the simulation loop reads only
+//! ([`cache_sim::policy::LeakagePolicy`]): the run summary reads only
 //! that surface, so every model produces the same [`DriRun`] shape and
 //! flows through the same memoization, persistence, and energy
-//! accounting. [`run_policy`] is the generic entry point; [`run_dri`]
+//! accounting.
+//!
+//! Every simulation goes through `simulate_group`: one front half
+//! (interpreter + branch predictor) drives the back halves of any number
+//! of records that share a committed stream. A single run is the group of
+//! one; [`crate::session::SimSession::resolve_grid`] groups a grid's
+//! misses so each stream is interpreted once per group, not once per
+//! record. [`run_policy`] is the generic entry point; [`run_dri`]
 //! remains as the DRI-flavoured alias the original figures call.
 
 use cache_sim::config::CacheConfig;
@@ -24,7 +31,7 @@ use dri_core::{DriConfig, DriICache, PolicyConfig};
 use energy_model::accounting::{breakdown, energy_delay, EnergyBreakdown, RunCounts};
 use energy_model::params::EnergyParams;
 use ooo_cpu::config::CpuConfig;
-use ooo_cpu::core::Core;
+use ooo_cpu::core::{BackHalf, Event, FrontHalf};
 use ooo_cpu::stats::CpuStats;
 use synth_workload::suite::Benchmark;
 
@@ -175,19 +182,180 @@ pub(crate) fn generate_workload(cfg: &RunConfig) -> synth_workload::Generated {
     }
 }
 
+/// One record a lockstep group simulates: the conventional baseline or
+/// the leakage-policy run of a configuration.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Job<'a> {
+    /// The conventional baseline of the configuration's geometry.
+    Baseline(&'a RunConfig),
+    /// The configuration's resolved leakage policy.
+    Policy(&'a RunConfig),
+}
+
+impl<'a> Job<'a> {
+    /// The configuration the record belongs to.
+    pub(crate) fn cfg(self) -> &'a RunConfig {
+        match self {
+            Job::Baseline(cfg) | Job::Policy(cfg) => cfg,
+        }
+    }
+}
+
+/// What a simulation's front half reads: the workload and the
+/// instruction budget (the predictor configuration is fixed). Records
+/// with equal keys see the very same committed stream, so they can share
+/// one front half however else they differ.
+pub(crate) type StreamKey = (Benchmark, Option<u64>, Option<u64>);
+
+/// The [`StreamKey`] of `cfg`.
+pub(crate) fn stream_key(cfg: &RunConfig) -> StreamKey {
+    (cfg.benchmark, cfg.seed_override, cfg.instruction_budget)
+}
+
+/// A simulated record.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Record {
+    /// From a [`Job::Baseline`].
+    Baseline(ConventionalRun),
+    /// From a [`Job::Policy`].
+    Policy(DriRun),
+}
+
+impl Record {
+    fn baseline(self) -> ConventionalRun {
+        match self {
+            Record::Baseline(run) => run,
+            Record::Policy(_) => unreachable!("a baseline job yields a baseline record"),
+        }
+    }
+
+    fn policy(self) -> DriRun {
+        match self {
+            Record::Policy(run) => run,
+            Record::Baseline(_) => unreachable!("a policy job yields a policy record"),
+        }
+    }
+}
+
+/// One back half of a lockstep group, behind the one dynamic call per
+/// batch that lets a group mix i-cache types.
+trait Member {
+    fn consume(&mut self, batch: &[Event]);
+    /// Closes out the run and reads its record.
+    fn record(&mut self, bpred_accuracy: f64) -> Record;
+}
+
+struct BaselineMember(BackHalf<ConventionalICache>);
+
+impl Member for BaselineMember {
+    fn consume(&mut self, batch: &[Event]) {
+        self.0.consume(batch);
+    }
+
+    fn record(&mut self, bpred_accuracy: f64) -> Record {
+        let timing = self.0.finish();
+        Record::Baseline(ConventionalRun {
+            timing,
+            icache: *self.0.icache().stats(),
+            l2_inst_accesses: self.0.hierarchy().l2_inst_accesses(),
+            bpred_accuracy,
+        })
+    }
+}
+
+/// Every leakage policy's back half: the run summary is read through the
+/// [`LeakagePolicy`] accounting surface, so every model produces the same
+/// [`DriRun`] shape.
+struct PolicyMember<IC: InstCache>(BackHalf<IC>);
+
+impl<IC: InstCache + LeakagePolicy> Member for PolicyMember<IC> {
+    fn consume(&mut self, batch: &[Event]) {
+        self.0.consume(batch);
+    }
+
+    fn record(&mut self, bpred_accuracy: f64) -> Record {
+        let timing = self.0.finish();
+        let cache = self.0.icache();
+        Record::Policy(DriRun {
+            timing,
+            icache: *cache.stats(),
+            dri: DriSummary {
+                avg_active_fraction: cache.avg_active_fraction(),
+                avg_size_bytes: cache.avg_size_bytes(),
+                final_size_bytes: cache.active_size_bytes(),
+                resizes: cache.resizes() as usize,
+                intervals: cache.intervals(),
+                resizing_bits: cache.resizing_tag_bits(),
+            },
+            l2_inst_accesses: self.0.hierarchy().l2_inst_accesses(),
+            bpred_accuracy,
+        })
+    }
+}
+
+fn policy_member<IC: InstCache + LeakagePolicy + 'static>(
+    cfg: &RunConfig,
+    icache: IC,
+) -> Box<dyn Member> {
+    Box::new(PolicyMember(BackHalf::new(cfg.cpu, icache, cfg.hierarchy)))
+}
+
+/// Builds the back half a job times: the baseline geometry, or the
+/// i-cache `cfg`'s resolved policy selects.
+fn member(job: Job<'_>) -> Box<dyn Member> {
+    match job {
+        Job::Baseline(cfg) => Box::new(BaselineMember(BackHalf::new(
+            cfg.cpu,
+            ConventionalICache::new(cfg.baseline_icache()),
+            cfg.hierarchy,
+        ))),
+        Job::Policy(cfg) => match cfg.resolved_policy() {
+            PolicyConfig::Dri(dri) => policy_member(cfg, DriICache::new(dri)),
+            PolicyConfig::Decay(decay) => policy_member(cfg, dri_core::DecayICache::new(decay)),
+            PolicyConfig::WayResize(way) => {
+                policy_member(cfg, dri_core::WayResizableICache::new(way))
+            }
+            PolicyConfig::WayMemo(memo) => policy_member(cfg, dri_core::WayMemoICache::new(memo)),
+        },
+    }
+}
+
+/// Simulates every job over one committed stream in lockstep: one front
+/// half interprets and predicts `generated` once, and each job's back
+/// half times every batch. All jobs must share a [`StreamKey`]; records
+/// come back in job order, each bit-identical to simulating its job
+/// alone.
+pub(crate) fn simulate_group(
+    generated: &synth_workload::Generated,
+    jobs: &[Job<'_>],
+) -> Vec<Record> {
+    let Some(first) = jobs.first() else {
+        return Vec::new();
+    };
+    debug_assert!(
+        jobs.iter()
+            .all(|job| stream_key(job.cfg()) == stream_key(first.cfg())),
+        "a lockstep group shares one stream"
+    );
+    let mut members: Vec<Box<dyn Member>> = jobs.iter().map(|&job| member(job)).collect();
+    let mut front = FrontHalf::new(&generated.program);
+    front.drive(
+        budget_for(first.cfg(), generated.cycle_instructions),
+        |batch| {
+            for m in &mut members {
+                m.consume(batch);
+            }
+        },
+    );
+    let accuracy = front.predictor().stats().accuracy();
+    members.iter_mut().map(|m| m.record(accuracy)).collect()
+}
+
 fn simulate_conventional(
     cfg: &RunConfig,
     generated: &synth_workload::Generated,
 ) -> ConventionalRun {
-    let icache = ConventionalICache::new(cfg.baseline_icache());
-    let mut core = Core::with_hierarchy(&generated.program, cfg.cpu, icache, cfg.hierarchy);
-    let result = core.run(budget_for(cfg, generated.cycle_instructions));
-    ConventionalRun {
-        timing: result.stats,
-        icache: *core.icache().stats(),
-        l2_inst_accesses: core.hierarchy().l2_inst_accesses(),
-        bpred_accuracy: result.bpred_accuracy,
-    }
+    simulate_group(generated, &[Job::Baseline(cfg)])[0].baseline()
 }
 
 /// Simulates the baseline with a session-cached workload but no run
@@ -216,51 +384,9 @@ pub fn run_conventional(cfg: &RunConfig) -> ConventionalRun {
     crate::session::SimSession::global().conventional(cfg)
 }
 
-/// The one simulation loop every leakage policy shares: drive the core
-/// with `icache` on the fetch path, then read the run summary through
-/// the [`LeakagePolicy`] accounting surface. For the DRI model every
-/// trait method delegates to the inherent accessor `simulate_dri` used
-/// to call directly, so the summary is bit-identical to the
-/// pre-`LeakagePolicy` code path.
-fn simulate_policy_with<IC: InstCache + LeakagePolicy>(
-    cfg: &RunConfig,
-    generated: &synth_workload::Generated,
-    icache: IC,
-) -> DriRun {
-    let mut core = Core::with_hierarchy(&generated.program, cfg.cpu, icache, cfg.hierarchy);
-    let result = core.run(budget_for(cfg, generated.cycle_instructions));
-    let cache = core.icache();
-    let summary = DriSummary {
-        avg_active_fraction: cache.avg_active_fraction(),
-        avg_size_bytes: cache.avg_size_bytes(),
-        final_size_bytes: cache.active_size_bytes(),
-        resizes: cache.resizes() as usize,
-        intervals: cache.intervals(),
-        resizing_bits: cache.resizing_tag_bits(),
-    };
-    DriRun {
-        timing: result.stats,
-        icache: *cache.stats(),
-        dri: summary,
-        l2_inst_accesses: core.hierarchy().l2_inst_accesses(),
-        bpred_accuracy: result.bpred_accuracy,
-    }
-}
-
-/// Builds the i-cache `cfg`'s resolved policy selects and simulates it.
+/// Simulates the i-cache `cfg`'s resolved policy selects.
 fn simulate_policy(cfg: &RunConfig, generated: &synth_workload::Generated) -> DriRun {
-    match cfg.resolved_policy() {
-        PolicyConfig::Dri(dri) => simulate_policy_with(cfg, generated, DriICache::new(dri)),
-        PolicyConfig::Decay(decay) => {
-            simulate_policy_with(cfg, generated, dri_core::DecayICache::new(decay))
-        }
-        PolicyConfig::WayResize(way) => {
-            simulate_policy_with(cfg, generated, dri_core::WayResizableICache::new(way))
-        }
-        PolicyConfig::WayMemo(memo) => {
-            simulate_policy_with(cfg, generated, dri_core::WayMemoICache::new(memo))
-        }
-    }
+    simulate_group(generated, &[Job::Policy(cfg)])[0].policy()
 }
 
 /// Simulates `cfg`'s resolved policy with a session-cached workload but

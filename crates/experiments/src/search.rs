@@ -7,7 +7,7 @@
 //! and **performance-unconstrained** (best energy-delay outright). This
 //! module reproduces that search.
 
-use crate::runner::{compare_with_baseline, run_conventional, run_dri, Comparison, RunConfig};
+use crate::runner::{compare_with_baseline, Comparison, RunConfig};
 use synth_workload::suite::Benchmark;
 
 /// The paper's performance-degradation cap for the constrained search.
@@ -78,25 +78,22 @@ pub fn grid_configs(base: &RunConfig, space: &SearchSpace) -> Vec<RunConfig> {
     cfgs
 }
 
-/// Exhaustively searches the grid for one benchmark, reusing a single
-/// baseline run and simulating the grid's DRI points across
-/// [`crate::harness::threads`] workers. `base` supplies everything but
-/// the two searched parameters.
+/// Exhaustively searches the grid for one benchmark against a single
+/// shared baseline run. `base` supplies everything but the two searched
+/// parameters. The baseline and every point resolve through
+/// [`crate::session::SimSession::resolve_grid`]: cached records come from
+/// the tiers, and the misses simulate in lockstep groups that interpret
+/// the benchmark's stream once per group, spread over
+/// [`crate::harness::parallel_map`]'s workers.
 ///
 /// The best-point selection folds over the grid in its canonical order
 /// (size-bounds outer, miss-bounds inner), so ties resolve exactly as the
 /// original serial search resolved them.
 pub fn search_benchmark(base: &RunConfig, space: &SearchSpace) -> SearchResult {
     let cfgs = grid_configs(base, space);
-    // Resolve the grid through the cache tiers in bulk first (a no-op
-    // when an enclosing search_all already warmed the session).
-    crate::session::prefetch_grid(&cfgs);
-    let baseline = run_conventional(base);
-    let runs = crate::harness::parallel_map(&cfgs, run_dri);
-    // With push mode on, heal whatever this grid had to simulate upward
-    // into the shared store (one chunked POST /batch-put; a no-op when
-    // every point came from a cache tier).
-    crate::session::push_grid();
+    let grid = crate::session::SimSession::global().resolve_grid(std::slice::from_ref(base), &cfgs);
+    let baseline = grid.baselines[0];
+    let runs = grid.points;
     let mut best_constrained: Option<Comparison> = None;
     let mut best_unconstrained: Option<Comparison> = None;
     for (cfg, dri) in cfgs.iter().zip(&runs) {
@@ -134,10 +131,12 @@ pub fn search_benchmark(base: &RunConfig, space: &SearchSpace) -> SearchResult {
 /// every (miss-bound × size-bound) point — in **one** batch round-trip,
 /// not one per benchmark (the per-benchmark prefetch inside
 /// [`search_benchmark`] then finds everything memory-resident and stays
-/// off the network). With push mode on, whatever the campaign had to
-/// simulate is pushed upward after the fan-out too (each per-benchmark
-/// grid pushes as it finishes; the final [`crate::session::push_grid`]
-/// drains stragglers).
+/// off the network). Inside this fan-out each benchmark's misses form
+/// as few lockstep groups as the cap allows, since the enclosing map
+/// already holds the workers. With push mode on, whatever the campaign
+/// had to simulate is pushed upward after the fan-out too (each
+/// per-benchmark grid pushes as it finishes; the final
+/// [`crate::session::push_grid`] drains stragglers).
 pub fn search_all(
     benchmarks: &[Benchmark],
     make_base: impl Fn(Benchmark) -> RunConfig + Sync,

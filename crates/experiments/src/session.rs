@@ -30,10 +30,19 @@
 //! small `Copy` structs; workloads are the only cached values of any size.
 //!
 //! The global session is shared across threads (guarded by mutexes that
-//! are held only for lookup/insert, never during a simulation), which is
-//! what makes the parallel sweeps in [`crate::sweeps`] and
-//! [`crate::harness::parallel_map`] cheap: concurrent sweep points fall
-//! back to at most one redundant simulation per race, and typically none.
+//! are held only for lookup/insert, never during a simulation), so
+//! concurrent lookups of one point fall back to at most one redundant
+//! simulation per race, and typically none.
+//!
+//! ## Grid resolution
+//!
+//! Searches and sweeps resolve a whole grid at once through
+//! [`SimSession::resolve_grid`]: every record is looked up through the
+//! tiers, and the misses that share a committed stream simulate in
+//! lockstep groups — the stream is interpreted and predicted once per
+//! group, and each record's own back half times it. Each simulated record
+//! is published exactly as a per-point miss is, so the tiers cannot tell
+//! the two paths apart.
 //!
 //! ## The disk tier
 //!
@@ -73,7 +82,7 @@
 //! local disk tier is swept once, and everything still missing is
 //! fetched from the remote tier in a single chunked `POST /batch`
 //! round-trip (healed into the local store on arrival). Only true misses
-//! are left for the sweep's `parallel_map` workers to simulate. The pass
+//! are left for the grid's lockstep groups to simulate. The pass
 //! is purely a cache-warming step — every record it installs is the same
 //! validated, bit-identical record the per-point lookup path would have
 //! loaded — and it is on by default; `DRI_PREFETCH=0` (or `suite
@@ -114,7 +123,8 @@ use synth_workload::suite::Benchmark;
 use synth_workload::Generated;
 
 use crate::config::config;
-use crate::runner::{ConventionalRun, DriRun, RunConfig};
+use crate::runner::{stream_key, ConventionalRun, DriRun, Job, Record, RunConfig, StreamKey};
+use ooo_cpu::core::MAX_BACK_HALVES;
 
 /// Identifies a generated workload: the benchmark plus the optional seed
 /// override (`None` = the benchmark's canonical seed).
@@ -223,9 +233,10 @@ impl SessionStats {
 }
 
 /// Bulk-prefetches `cfgs` through the **global** session's tiers when
-/// prefetch is enabled — the hook every sweep/search grid calls right
-/// before its `parallel_map` fan-out. Returns the per-plan outcome
-/// (`None` when prefetch is disabled).
+/// prefetch is enabled — the hook a campaign calls before its
+/// per-benchmark fan-out ([`SimSession::resolve_grid`] runs the same pass
+/// for its own grid). Returns the per-plan outcome (`None` when prefetch
+/// is disabled).
 pub fn prefetch_grid(cfgs: &[RunConfig]) -> Option<PrefetchStats> {
     config()
         .prefetch
@@ -233,10 +244,10 @@ pub fn prefetch_grid(cfgs: &[RunConfig]) -> Option<PrefetchStats> {
 }
 
 /// Pushes the **global** session's pending simulated records upward when
-/// push mode is enabled — the hook every sweep/search calls right after
-/// its `parallel_map` fan-out completes (the post-sweep mirror of
-/// [`prefetch_grid`]). Returns the per-batch outcome (`None` when push
-/// is disabled).
+/// push mode is enabled — the hook a campaign calls after its fan-out
+/// completes (the post-campaign mirror of [`prefetch_grid`];
+/// [`SimSession::resolve_grid`] pushes after each grid itself). Returns
+/// the per-batch outcome (`None` when push is disabled).
 pub fn push_grid() -> Option<PushStats> {
     let session = SimSession::global();
     session.push.then(|| session.push_pending())
@@ -301,6 +312,10 @@ pub struct PrefetchStats {
 /// (tracing on at construction, or [`SessionBuilder::timed`]): the warm
 /// memory path runs in hundreds of nanoseconds, where even two clock
 /// reads are visible, so untimed sessions skip the clocks entirely.
+///
+/// Records simulated by [`SimSession::resolve_grid`] are timed together,
+/// a lockstep group at a time; each contributes one `simulate` sample of
+/// its group's wall time divided by the group's size.
 #[derive(Debug, Default)]
 pub struct TierLatency {
     /// Lookups the memory tier answered.
@@ -613,6 +628,13 @@ impl SimSession {
     /// never simulates; an empty (or fully memory-warm) plan touches
     /// neither the disk nor the network.
     pub fn prefetch(&self, cfgs: &[RunConfig]) -> PrefetchStats {
+        self.prefetch_records(cfgs, cfgs)
+    }
+
+    /// [`Self::prefetch`] over an explicit record list: the baseline
+    /// records of `baseline_cfgs` and the policy records of `points`
+    /// (what [`Self::resolve_grid`] is about to resolve).
+    fn prefetch_records(&self, baseline_cfgs: &[RunConfig], points: &[RunConfig]) -> PrefetchStats {
         // Traced as one `kind:"prefetch"` span covering the whole plan;
         // the outcome labels carry the per-tier split so a trace alone
         // reconstructs the bulk pass without the stderr summary.
@@ -631,7 +653,7 @@ impl SimSession {
         {
             let baselines = self.baselines.lock().expect("baseline lock");
             let dri_runs = self.dri_runs.lock().expect("dri lock");
-            for cfg in cfgs {
+            for cfg in baseline_cfgs {
                 let store_key = crate::persist::baseline_key(cfg);
                 if plan.push(
                     crate::persist::BASELINE_KIND,
@@ -646,6 +668,8 @@ impl SimSession {
                         pending_baselines.push((store_key, key, cfg));
                     }
                 }
+            }
+            for cfg in points {
                 let store_key = crate::persist::policy_key(cfg);
                 if plan.push(
                     crate::persist::policy_kind(cfg),
@@ -817,11 +841,7 @@ impl SimSession {
                 TierHit::Remote => stats.baseline_remote_hits += 1,
             }
         }
-        self.baselines
-            .lock()
-            .expect("baseline lock")
-            .entry(key)
-            .or_insert(run);
+        self.remember_baseline(key, run);
     }
 
     /// Publishes a prefetched policy run to the memory tier (see
@@ -834,11 +854,7 @@ impl SimSession {
                 TierHit::Remote => stats.dri_remote_hits += 1,
             }
         }
-        self.dri_runs
-            .lock()
-            .expect("dri lock")
-            .entry(key)
-            .or_insert(run);
+        self.remember_dri(key, run);
     }
 
     /// Writes a remotely fetched payload through to the local disk tier.
@@ -954,84 +970,13 @@ impl SimSession {
     /// resolution itself — and therefore every counter in the result —
     /// is identical either way.
     pub fn conventional(&self, cfg: &RunConfig) -> ConventionalRun {
-        if !self.timed {
-            return self.conventional_resolve(cfg).0;
-        }
-        let span = Span::begin("tier", "conventional").label("benchmark", cfg.benchmark.name());
-        let (run, tier) = self.conventional_resolve(cfg);
-        let elapsed = span.finish(tier);
-        self.tier_latency.of(tier).record_duration(elapsed);
-        run
-    }
-
-    /// The tier fall-through behind [`Self::conventional`]; names the
-    /// tier that answered so the timed wrapper can attribute the cost.
-    fn conventional_resolve(&self, cfg: &RunConfig) -> (ConventionalRun, &'static str) {
-        let key = BaselineKey::of(cfg);
-        if let Some(found) = self.baselines.lock().expect("baseline lock").get(&key) {
-            self.stats.lock().expect("session stats lock").baseline_hits += 1;
-            return (*found, "memory");
-        }
-        if let Some(run) = self.disk_conventional(cfg) {
-            self.stats
-                .lock()
-                .expect("session stats lock")
-                .baseline_disk_hits += 1;
-            return (
-                *self
-                    .baselines
-                    .lock()
-                    .expect("baseline lock")
-                    .entry(key)
-                    .or_insert(run),
-                "disk",
-            );
-        }
-        if let Some(run) = self.remote_conventional(cfg) {
-            self.stats
-                .lock()
-                .expect("session stats lock")
-                .baseline_remote_hits += 1;
-            return (
-                *self
-                    .baselines
-                    .lock()
-                    .expect("baseline lock")
-                    .entry(key)
-                    .or_insert(run),
-                "remote",
-            );
-        }
-        let run = crate::runner::run_conventional_fresh_in(self, cfg);
-        self.stats
-            .lock()
-            .expect("session stats lock")
-            .baseline_misses += 1;
-        let push = self.push_active();
-        if self.store.is_some() || push {
-            let store_key = crate::persist::baseline_key(cfg);
-            let payload = crate::persist::encode_conventional(&run);
-            if let Some(store) = &self.store {
-                store.save(
-                    crate::persist::BASELINE_KIND,
-                    crate::persist::SCHEMA_VERSION,
-                    store_key,
-                    &payload,
-                );
-            }
-            if push {
-                self.buffer_push(crate::persist::BASELINE_KIND, store_key, payload);
-            }
-        }
-        (
-            *self
-                .baselines
-                .lock()
-                .expect("baseline lock")
-                .entry(key)
-                .or_insert(run),
-            "simulate",
-        )
+        self.timed("conventional", cfg, || {
+            Some(self.conventional_lookup(cfg).unwrap_or_else(|| {
+                let run = crate::runner::run_conventional_fresh_in(self, cfg);
+                (self.conventional_publish(cfg, run), "simulate")
+            }))
+        })
+        .expect("a simulation always answers")
     }
 
     /// The memoized leakage-policy run for `cfg` (DRI unless
@@ -1041,81 +986,357 @@ impl SimSession {
     /// [`Self::conventional`]; the trace span is named after the policy
     /// kind, so a trace distinguishes the models at a glance.
     pub fn policy_run(&self, cfg: &RunConfig) -> DriRun {
-        if !self.timed {
-            return self.policy_resolve(cfg).0;
-        }
-        let span = Span::begin("tier", crate::persist::policy_kind(cfg))
-            .label("benchmark", cfg.benchmark.name());
-        let (run, tier) = self.policy_resolve(cfg);
-        let elapsed = span.finish(tier);
-        self.tier_latency.of(tier).record_duration(elapsed);
-        run
+        self.timed(crate::persist::policy_kind(cfg), cfg, || {
+            Some(self.policy_lookup(cfg).unwrap_or_else(|| {
+                let run = crate::runner::run_policy_fresh_in(self, cfg);
+                (self.policy_publish(cfg, run), "simulate")
+            }))
+        })
+        .expect("a simulation always answers")
     }
 
-    /// The tier fall-through behind [`Self::policy_run`].
-    fn policy_resolve(&self, cfg: &RunConfig) -> (DriRun, &'static str) {
+    /// Runs one resolution; on a timed session, wall-clocks it into
+    /// [`Self::tier_latency`] and traces it as a `kind:"tier"` span named
+    /// `name`, labelled with the tier that answered. A resolution that
+    /// answers `None` records nothing.
+    fn timed<T>(
+        &self,
+        name: &str,
+        cfg: &RunConfig,
+        resolve: impl FnOnce() -> Option<(T, &'static str)>,
+    ) -> Option<T> {
+        if !self.timed {
+            return resolve().map(|(run, _)| run);
+        }
+        let span = Span::begin("tier", name).label("benchmark", cfg.benchmark.name());
+        let (run, tier) = resolve()?;
+        let elapsed = span.finish(tier);
+        self.tier_latency.of(tier).record_duration(elapsed);
+        Some(run)
+    }
+
+    /// The tiers behind [`Self::conventional`] short of simulating:
+    /// memory, disk, then remote. Names the tier that answered.
+    fn conventional_lookup(&self, cfg: &RunConfig) -> Option<(ConventionalRun, &'static str)> {
+        let key = BaselineKey::of(cfg);
+        if let Some(found) = self.baselines.lock().expect("baseline lock").get(&key) {
+            self.stats.lock().expect("session stats lock").baseline_hits += 1;
+            return Some((*found, "memory"));
+        }
+        let (run, tier) = if let Some(run) = self.disk_conventional(cfg) {
+            self.stats
+                .lock()
+                .expect("session stats lock")
+                .baseline_disk_hits += 1;
+            (run, "disk")
+        } else {
+            let run = self.remote_conventional(cfg)?;
+            self.stats
+                .lock()
+                .expect("session stats lock")
+                .baseline_remote_hits += 1;
+            (run, "remote")
+        };
+        Some((self.remember_baseline(key, run), tier))
+    }
+
+    /// Publishes a freshly simulated baseline run: counts the
+    /// simulation, saves it to the disk tier, buffers it for push, and
+    /// installs it in memory (the first install wins a race).
+    fn conventional_publish(&self, cfg: &RunConfig, run: ConventionalRun) -> ConventionalRun {
+        self.stats
+            .lock()
+            .expect("session stats lock")
+            .baseline_misses += 1;
+        self.persist_simulated(crate::persist::BASELINE_KIND, || {
+            (
+                crate::persist::baseline_key(cfg),
+                crate::persist::encode_conventional(&run),
+            )
+        });
+        self.remember_baseline(BaselineKey::of(cfg), run)
+    }
+
+    /// The tiers behind [`Self::policy_run`] short of simulating (see
+    /// [`Self::conventional_lookup`]).
+    fn policy_lookup(&self, cfg: &RunConfig) -> Option<(DriRun, &'static str)> {
         let key = PolicyKey::of(cfg);
         if let Some(found) = self.dri_runs.lock().expect("dri lock").get(&key) {
             self.stats.lock().expect("session stats lock").dri_hits += 1;
-            return (*found, "memory");
+            return Some((*found, "memory"));
         }
-        if let Some(run) = self.disk_policy(cfg) {
+        let (run, tier) = if let Some(run) = self.disk_policy(cfg) {
             self.stats.lock().expect("session stats lock").dri_disk_hits += 1;
-            return (
-                *self
-                    .dri_runs
-                    .lock()
-                    .expect("dri lock")
-                    .entry(key)
-                    .or_insert(run),
-                "disk",
-            );
-        }
-        if let Some(run) = self.remote_policy(cfg) {
+            (run, "disk")
+        } else {
+            let run = self.remote_policy(cfg)?;
             self.stats
                 .lock()
                 .expect("session stats lock")
                 .dri_remote_hits += 1;
-            return (
-                *self
-                    .dri_runs
-                    .lock()
-                    .expect("dri lock")
-                    .entry(key)
-                    .or_insert(run),
-                "remote",
-            );
-        }
-        let run = crate::runner::run_policy_fresh_in(self, cfg);
-        self.stats.lock().expect("session stats lock").dri_misses += 1;
-        let push = self.push_active();
-        if self.store.is_some() || push {
-            let kind = crate::persist::policy_kind(cfg);
-            let store_key = crate::persist::policy_key(cfg);
-            let payload = crate::persist::encode_dri(&run);
-            if let Some(store) = &self.store {
-                store.save(kind, crate::persist::SCHEMA_VERSION, store_key, &payload);
-            }
-            if push {
-                self.buffer_push(kind, store_key, payload);
-            }
-        }
-        (
-            *self
-                .dri_runs
-                .lock()
-                .expect("dri lock")
-                .entry(key)
-                .or_insert(run),
-            "simulate",
-        )
+            (run, "remote")
+        };
+        Some((self.remember_dri(key, run), tier))
     }
+
+    /// Publishes a freshly simulated policy run (see
+    /// [`Self::conventional_publish`]).
+    fn policy_publish(&self, cfg: &RunConfig, run: DriRun) -> DriRun {
+        self.stats.lock().expect("session stats lock").dri_misses += 1;
+        self.persist_simulated(crate::persist::policy_kind(cfg), || {
+            (
+                crate::persist::policy_key(cfg),
+                crate::persist::encode_dri(&run),
+            )
+        });
+        self.remember_dri(PolicyKey::of(cfg), run)
+    }
+
+    /// Saves a simulated record to the disk tier and buffers it for push,
+    /// encoding it only when either wants it.
+    fn persist_simulated(&self, kind: &'static str, encode: impl FnOnce() -> (u128, Vec<u8>)) {
+        let push = self.push_active();
+        if self.store.is_none() && !push {
+            return;
+        }
+        let (store_key, payload) = encode();
+        if let Some(store) = &self.store {
+            store.save(kind, crate::persist::SCHEMA_VERSION, store_key, &payload);
+        }
+        if push {
+            self.buffer_push(kind, store_key, payload);
+        }
+    }
+
+    /// Installs a baseline run in the memory tier unless a racing
+    /// resolution got there first; returns the installed run.
+    fn remember_baseline(&self, key: BaselineKey, run: ConventionalRun) -> ConventionalRun {
+        *self
+            .baselines
+            .lock()
+            .expect("baseline lock")
+            .entry(key)
+            .or_insert(run)
+    }
+
+    /// Installs a policy run in the memory tier (see
+    /// [`Self::remember_baseline`]).
+    fn remember_dri(&self, key: PolicyKey, run: DriRun) -> DriRun {
+        *self
+            .dri_runs
+            .lock()
+            .expect("dri lock")
+            .entry(key)
+            .or_insert(run)
+    }
+
+    /// Resolves a whole grid: the baseline records of `baselines` and
+    /// the policy records of `points`, returned in request order.
+    ///
+    /// 1. With prefetch on, the records are planned and bulk-fetched
+    ///    through the tiers first ([`Self::prefetch`]).
+    /// 2. Every record is looked up through memory → disk → remote,
+    ///    exactly as [`Self::conventional`]/[`Self::policy_run`] would
+    ///    look it up (a repeated record is looked up once; its repeats
+    ///    are memory hits afterwards, as they would be point by point).
+    /// 3. The misses are grouped by what the front half reads
+    ///    (benchmark, seed override, instruction budget) and each group
+    ///    is simulated in lockstep: one interpretation of the stream
+    ///    drives every record's back half. A stream's misses are split
+    ///    into `max(granted workers, ⌈n / MAX_BACK_HALVES⌉)` groups (at
+    ///    most `n`), run across [`crate::harness::parallel_map`].
+    /// 4. Each simulated record is published exactly as a per-point miss
+    ///    is: one `baseline_misses`/`dri_misses`, a disk save, a push
+    ///    buffer entry, and a first-wins memory install.
+    /// 5. With push mode on, whatever was simulated is pushed upward.
+    ///
+    /// A record depends only on its own configuration and the stream,
+    /// so the results do not depend on how the misses were grouped. On a
+    /// timed session every lookup is traced as [`Self::conventional`]
+    /// traces it, and every simulated record gets one `tier` span with
+    /// outcome `simulate` whose duration is its group's wall time
+    /// divided by the group's size.
+    pub fn resolve_grid(&self, baselines: &[RunConfig], points: &[RunConfig]) -> GridRuns {
+        if config().prefetch {
+            self.prefetch_records(baselines, points);
+        }
+        let mut baseline_runs: Vec<Option<ConventionalRun>> = vec![None; baselines.len()];
+        let mut point_runs: Vec<Option<DriRun>> = vec![None; points.len()];
+        let mut misses: Vec<(Job<'_>, usize)> = Vec::new();
+        let mut seen: HashSet<BaselineKey> = HashSet::new();
+        for (slot, cfg) in baselines.iter().enumerate() {
+            if seen.insert(BaselineKey::of(cfg)) {
+                match self.timed("conventional", cfg, || self.conventional_lookup(cfg)) {
+                    Some(run) => baseline_runs[slot] = Some(run),
+                    None => misses.push((Job::Baseline(cfg), slot)),
+                }
+            }
+        }
+        let mut seen: HashSet<PolicyKey> = HashSet::new();
+        for (slot, cfg) in points.iter().enumerate() {
+            if seen.insert(PolicyKey::of(cfg)) {
+                let kind = crate::persist::policy_kind(cfg);
+                match self.timed(kind, cfg, || self.policy_lookup(cfg)) {
+                    Some(run) => point_runs[slot] = Some(run),
+                    None => misses.push((Job::Policy(cfg), slot)),
+                }
+            }
+        }
+
+        let jobs: Vec<Job<'_>> = misses.iter().map(|&(job, _)| job).collect();
+        for ((job, slot), simulated) in misses.into_iter().zip(self.simulate_jobs(&jobs)) {
+            let (name, cfg) = match (job, simulated.record) {
+                (Job::Baseline(cfg), Record::Baseline(run)) => {
+                    baseline_runs[slot] = Some(self.conventional_publish(cfg, run));
+                    ("conventional", cfg)
+                }
+                (Job::Policy(cfg), Record::Policy(run)) => {
+                    point_runs[slot] = Some(self.policy_publish(cfg, run));
+                    (crate::persist::policy_kind(cfg), cfg)
+                }
+                _ => unreachable!("records come back in job order"),
+            };
+            if self.timed {
+                self.tier_latency.simulate.record_duration(simulated.share);
+                let mut event = TraceEvent::new("tier", name)
+                    .outcome("simulate")
+                    .label("benchmark", cfg.benchmark.name());
+                event.ts_us = simulated.ts_us;
+                event.dur_us = Some(u64::try_from(simulated.share.as_micros()).unwrap_or(u64::MAX));
+                event.emit();
+            }
+        }
+
+        // Repeats of a record resolved above are memory hits now.
+        let grid = GridRuns {
+            baselines: baselines
+                .iter()
+                .zip(baseline_runs)
+                .map(|(cfg, run)| run.unwrap_or_else(|| self.conventional(cfg)))
+                .collect(),
+            points: points
+                .iter()
+                .zip(point_runs)
+                .map(|(cfg, run)| run.unwrap_or_else(|| self.policy_run(cfg)))
+                .collect(),
+        };
+        if self.push {
+            self.push_pending();
+        }
+        grid
+    }
+
+    /// Simulates `jobs` in lockstep groups (see [`Self::resolve_grid`]);
+    /// results come back in job order.
+    fn simulate_jobs(&self, jobs: &[Job<'_>]) -> Vec<Simulated> {
+        // Jobs by stream, in first-seen order.
+        let mut streams: Vec<(StreamKey, Vec<usize>)> = Vec::new();
+        for (i, job) in jobs.iter().enumerate() {
+            let key = stream_key(job.cfg());
+            match streams.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, members)) => members.push(i),
+                None => streams.push((key, vec![i])),
+            }
+        }
+        let sizes: Vec<usize> = streams.iter().map(|(_, members)| members.len()).collect();
+        let splits = group_counts(&sizes, crate::harness::granted_workers(jobs.len()));
+        let mut groups: Vec<(Arc<Generated>, &[usize])> = Vec::new();
+        for ((_, members), &split) in streams.iter().zip(&splits) {
+            let generated = self.workload(jobs[members[0]].cfg());
+            let (size, extra) = (members.len() / split, members.len() % split);
+            let mut rest = members.as_slice();
+            for g in 0..split {
+                let (group, tail) = rest.split_at(size + usize::from(g < extra));
+                groups.push((Arc::clone(&generated), group));
+                rest = tail;
+            }
+        }
+
+        let timed = self.timed;
+        let simulated = crate::harness::parallel_map(&groups, |(generated, members)| {
+            let ts_us = if timed { trace::now_us() } else { 0 };
+            let started = Instant::now();
+            let group: Vec<Job<'_>> = members.iter().map(|&i| jobs[i]).collect();
+            let records = crate::runner::simulate_group(generated, &group);
+            let share = started.elapsed() / members.len() as u32;
+            records
+                .into_iter()
+                .map(|record| Simulated {
+                    record,
+                    share,
+                    ts_us,
+                })
+                .collect::<Vec<_>>()
+        });
+        let mut out: Vec<Option<Simulated>> = (0..jobs.len()).map(|_| None).collect();
+        for ((_, members), records) in groups.iter().zip(simulated) {
+            for (&i, record) in members.iter().zip(records) {
+                out[i] = Some(record);
+            }
+        }
+        out.into_iter()
+            .map(|s| s.expect("every job lands in one group"))
+            .collect()
+    }
+}
+
+/// How many lockstep groups each stream's misses split into, given
+/// `sizes[s]` misses on stream `s` and `grant` workers: enough groups to
+/// keep every group within [`MAX_BACK_HALVES`], then — while a stream
+/// can still be split — more until every granted worker has one, always
+/// splitting the stream whose groups are widest. One stream of `n`
+/// misses gets `max(grant, ⌈n / MAX_BACK_HALVES⌉)` groups, at most `n`.
+fn group_counts(sizes: &[usize], grant: usize) -> Vec<usize> {
+    let mut counts: Vec<usize> = sizes.iter().map(|n| n.div_ceil(MAX_BACK_HALVES)).collect();
+    while counts.iter().sum::<usize>() < grant {
+        let widest = (0..sizes.len())
+            .filter(|&s| counts[s] < sizes[s])
+            .max_by_key(|&s| (sizes[s].div_ceil(counts[s]), std::cmp::Reverse(s)));
+        let Some(s) = widest else { break };
+        counts[s] += 1;
+    }
+    counts
+}
+
+/// One record a lockstep group simulated, with its share of the group's
+/// wall time (for the timed path).
+struct Simulated {
+    record: Record,
+    share: std::time::Duration,
+    ts_us: u64,
+}
+
+/// The records of one [`SimSession::resolve_grid`] call, in request order.
+#[derive(Debug, Clone)]
+pub struct GridRuns {
+    /// The baseline record of each requested baseline configuration.
+    pub baselines: Vec<ConventionalRun>,
+    /// The policy record of each requested point.
+    pub points: Vec<DriRun>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dri_serve::RemoteStore;
+
+    #[test]
+    fn grids_split_by_grant_and_cap() {
+        // A quick search (baseline + 6 points): serial, 2 and 3 workers.
+        assert_eq!(group_counts(&[7], 1), [1]);
+        assert_eq!(group_counts(&[7], 2), [2]);
+        assert_eq!(group_counts(&[7], 3), [3]);
+        // A paper-scale search (baseline + 28 points) honours the cap.
+        assert_eq!(group_counts(&[29], 1), [4]);
+        assert_eq!(group_counts(&[29], 2), [4]);
+        assert_eq!(group_counts(&[29], 6), [6]);
+        // Never more groups than records.
+        assert_eq!(group_counts(&[2], 8), [2]);
+        assert_eq!(group_counts(&[], 4), Vec::<usize>::new());
+        // Several streams: the widest splits first.
+        assert_eq!(group_counts(&[7, 7], 2), [1, 1]);
+        assert_eq!(group_counts(&[7, 2], 4), [3, 1]);
+    }
 
     #[test]
     fn workload_is_generated_once_per_key() {

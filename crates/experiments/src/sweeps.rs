@@ -1,36 +1,26 @@
 //! Parameter and geometry sweeps: Figures 4–6 and §5.6.
 //!
-//! Every sweep shares one baseline run per geometry (memoized in the
-//! global [`crate::session::SimSession`]) and spreads its DRI points
-//! across [`crate::harness::threads`] workers via
-//! [`crate::harness::parallel_map`]. Points are reassembled in sweep
-//! order, so outputs are identical to a serial sweep.
+//! Every sweep resolves its whole point grid — one baseline run per
+//! geometry plus the DRI points — in one
+//! [`crate::session::SimSession::resolve_grid`] call on the global
+//! session: cached records come from the tiers, and the misses simulate
+//! in lockstep groups that share one interpretation of the benchmark's
+//! stream. Points come back in sweep order, so outputs are identical to
+//! a serial sweep.
 
-use crate::harness::parallel_map;
-use crate::runner::{compare_with_baseline, run_conventional, run_dri, Comparison, RunConfig};
+use crate::runner::{compare_with_baseline, Comparison, RunConfig};
+use crate::session::SimSession;
 use dri_core::DriConfig;
 
-/// Runs one DRI-vs-baseline comparison for a fully specified config.
-fn one(cfg: &RunConfig) -> Comparison {
-    let baseline = run_conventional(cfg);
-    let dri = run_dri(cfg);
-    compare_with_baseline(cfg, &baseline, &dri)
-}
-
-/// Runs the DRI side of every config in parallel and compares each
-/// against `base`'s (shared, memoized) baseline run. The whole point
-/// grid is batch-prefetched through the session tiers first (every
-/// `cfg` shares `base`'s geometry, so the shared baseline record rides
-/// along in the same plan), and — with push mode on — whatever the
-/// sweep had to simulate is pushed upward after the fan-out.
+/// Resolves `base`'s baseline and the DRI side of every config as one
+/// grid, and compares each point against that shared baseline. The grid
+/// is batch-prefetched through the session tiers first and — with push
+/// mode on — whatever it had to simulate is pushed upward afterwards.
 fn compare_points(base: &RunConfig, cfgs: &[RunConfig]) -> Vec<Comparison> {
-    crate::session::prefetch_grid(cfgs);
-    let baseline = run_conventional(base);
-    let runs = parallel_map(cfgs, run_dri);
-    crate::session::push_grid();
+    let grid = SimSession::global().resolve_grid(std::slice::from_ref(base), cfgs);
     cfgs.iter()
-        .zip(&runs)
-        .map(|(cfg, dri)| compare_with_baseline(cfg, &baseline, dri))
+        .zip(&grid.points)
+        .map(|(cfg, dri)| compare_with_baseline(cfg, &grid.baselines[0], dri))
         .collect()
 }
 
@@ -67,7 +57,7 @@ pub fn miss_bound_grid(base: &RunConfig) -> Vec<RunConfig> {
 
 /// Runs the Figure 4 sweep around `base` (whose `dri.miss_bound` is the
 /// benchmark's constrained-best value). The baseline run is shared and the
-/// three points run in parallel.
+/// three points resolve as one grid.
 pub fn miss_bound_sweep(base: &RunConfig) -> MissBoundSweep {
     let cfgs = miss_bound_grid(base);
     let mut points = compare_points(base, &cfgs);
@@ -117,7 +107,7 @@ pub fn size_bound_grid(base: &RunConfig) -> Vec<RunConfig> {
         .collect()
 }
 
-/// Runs the Figure 5 sweep around `base`: applicable points in parallel
+/// Runs the Figure 5 sweep around `base`: applicable points as one grid
 /// against the shared baseline.
 pub fn size_bound_sweep(base: &RunConfig) -> SizeBoundSweep {
     let has_double = base.dri.size_bound_bytes * 2 <= base.dri.max_size_bytes;
@@ -177,12 +167,15 @@ pub fn geometry_grid(base: &RunConfig) -> Vec<RunConfig> {
 
 /// Runs the Figure 6 sweep. `base` carries the benchmark's constrained
 /// 64K-DM parameters. Each geometry pairs with a baseline of its own
-/// geometry, so the three full comparisons run in parallel.
+/// geometry; all six records share one stream, so the misses among them
+/// simulate in lockstep.
 pub fn geometry_sweep(base: &RunConfig) -> GeometrySweep {
     let cfgs = geometry_grid(base);
-    crate::session::prefetch_grid(&cfgs);
-    let mut points = parallel_map(&cfgs, one).into_iter();
-    crate::session::push_grid();
+    let grid = SimSession::global().resolve_grid(&cfgs, &cfgs);
+    let mut points = cfgs
+        .iter()
+        .zip(grid.baselines.iter().zip(&grid.points))
+        .map(|(cfg, (baseline, dri))| compare_with_baseline(cfg, baseline, dri));
     GeometrySweep {
         assoc_4way: points.next().expect("three geometries"),
         dm_64k: points.next().expect("three geometries"),
@@ -204,7 +197,7 @@ pub fn interval_grid(base: &RunConfig, intervals: &[u64]) -> Vec<RunConfig> {
 }
 
 /// §5.6: sense-interval robustness. Returns `(interval, comparison)` per
-/// swept length, all points in parallel against the shared baseline.
+/// swept length, all points as one grid against the shared baseline.
 pub fn interval_sweep(base: &RunConfig, intervals: &[u64]) -> Vec<(u64, Comparison)> {
     let cfgs = interval_grid(base, intervals);
     intervals
@@ -227,7 +220,7 @@ pub fn divisibility_grid(base: &RunConfig, divs: &[u32]) -> Vec<RunConfig> {
 }
 
 /// §5.6: divisibility. Returns `(divisibility, comparison)` per factor,
-/// all points in parallel against the shared baseline.
+/// all points as one grid against the shared baseline.
 pub fn divisibility_sweep(base: &RunConfig, divs: &[u32]) -> Vec<(u32, Comparison)> {
     let cfgs = divisibility_grid(base, divs);
     divs.iter()

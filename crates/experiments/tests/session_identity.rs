@@ -16,63 +16,14 @@
 use dri_experiments::persist::{baseline_key, policy_key, policy_kind};
 use dri_experiments::runner::{
     compare_with_baseline, run_conventional, run_conventional_uncached, run_dri, run_dri_uncached,
-    run_policy, run_policy_uncached, DriRun,
+    run_policy, run_policy_uncached,
 };
 use dri_experiments::sweeps::miss_bound_sweep;
 use dri_experiments::{Comparison, PolicyConfig, RunConfig, SimSession};
 use synth_workload::suite::Benchmark;
 
-fn assert_comparisons_bit_identical(a: &Comparison, b: &Comparison, what: &str) {
-    assert_eq!(a.benchmark, b.benchmark, "{what}: benchmark");
-    assert_eq!(a.miss_bound, b.miss_bound, "{what}: miss_bound");
-    assert_eq!(a.size_bound_bytes, b.size_bound_bytes, "{what}: size_bound");
-    assert_eq!(
-        a.relative_energy_delay.to_bits(),
-        b.relative_energy_delay.to_bits(),
-        "{what}: relative_energy_delay {} vs {}",
-        a.relative_energy_delay,
-        b.relative_energy_delay
-    );
-    assert_eq!(
-        a.leakage_component.to_bits(),
-        b.leakage_component.to_bits(),
-        "{what}: leakage_component"
-    );
-    assert_eq!(
-        a.dynamic_component.to_bits(),
-        b.dynamic_component.to_bits(),
-        "{what}: dynamic_component"
-    );
-    assert_eq!(
-        a.slowdown.to_bits(),
-        b.slowdown.to_bits(),
-        "{what}: slowdown"
-    );
-    assert_eq!(
-        a.avg_size_fraction.to_bits(),
-        b.avg_size_fraction.to_bits(),
-        "{what}: avg_size_fraction"
-    );
-    assert_eq!(
-        a.dri_miss_rate.to_bits(),
-        b.dri_miss_rate.to_bits(),
-        "{what}: dri_miss_rate"
-    );
-    assert_eq!(
-        a.conventional_miss_rate.to_bits(),
-        b.conventional_miss_rate.to_bits(),
-        "{what}: conventional_miss_rate"
-    );
-    assert_eq!(
-        a.extra_l2_accesses, b.extra_l2_accesses,
-        "{what}: extra_l2_accesses"
-    );
-    assert_eq!(
-        a.energy.effective().value().to_bits(),
-        b.energy.effective().value().to_bits(),
-        "{what}: effective energy"
-    );
-}
+mod common;
+use common::{assert_comparisons_bit_identical, assert_runs_bit_identical};
 
 fn uncached_comparison(cfg: &RunConfig) -> Comparison {
     let baseline = run_conventional_uncached(cfg);
@@ -199,36 +150,6 @@ fn golden_store_keys_never_change() {
         policy_key(&cfg),
         0xaaca_7c75_35d3_abfc_2762_5db1_5f00_96db,
         "default-policy key drifted from the frozen dri key"
-    );
-}
-
-fn assert_runs_bit_identical(a: &DriRun, b: &DriRun, what: &str) {
-    assert_eq!(a.timing, b.timing, "{what}: timing");
-    assert_eq!(a.icache, b.icache, "{what}: icache");
-    assert_eq!(
-        a.dri.avg_active_fraction.to_bits(),
-        b.dri.avg_active_fraction.to_bits(),
-        "{what}: avg_active_fraction"
-    );
-    assert_eq!(
-        a.dri.avg_size_bytes.to_bits(),
-        b.dri.avg_size_bytes.to_bits(),
-        "{what}: avg_size_bytes"
-    );
-    assert_eq!(
-        a.dri.final_size_bytes, b.dri.final_size_bytes,
-        "{what}: final_size_bytes"
-    );
-    assert_eq!(a.dri.resizes, b.dri.resizes, "{what}: resizes");
-    assert_eq!(a.dri.intervals, b.dri.intervals, "{what}: intervals");
-    assert_eq!(
-        a.l2_inst_accesses, b.l2_inst_accesses,
-        "{what}: l2_inst_accesses"
-    );
-    assert_eq!(
-        a.bpred_accuracy.to_bits(),
-        b.bpred_accuracy.to_bits(),
-        "{what}: bpred_accuracy"
     );
 }
 
