@@ -47,9 +47,6 @@
 //! depend only on its own configuration and the stream, so a record is
 //! bit-identical whichever group it runs in.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
 use crate::bpred::{HybridPredictor, PredictorConfig};
 use crate::config::CpuConfig;
 use crate::stats::CpuStats;
@@ -66,104 +63,63 @@ use synth_workload::program::Program;
 /// back half of a group reads it.
 pub const BATCH: usize = 4096;
 
-/// Most back halves one front half drives. Each back half holds six
-/// 512 KiB booking rings (3 MiB), so a paper-scale search (28 points
-/// plus its baseline) runs as four groups rather than one 29-wide group.
+/// Most back halves one front half drives. With kilobyte booking rings
+/// the cap no longer bounds ring memory; it bounds how many back halves
+/// (each with its own data hierarchy) a group keeps live. On a 2-CPU
+/// host, a paper-scale gcc search (29 records, 2 workers, three runs
+/// per cap) took 6.7–7.9 s at cap 8, 5.5–7.1 s at 16 and 6.3–7.1 s at
+/// 29, at 17 MiB peak RSS against 26 MiB for either larger cap. Neither
+/// larger cap was fastest in every run (they tied in one), so the cap
+/// stays 8: a paper-scale search runs as four groups of at most 8.
 pub const MAX_BACK_HALVES: usize = 8;
 
-/// Size of the booking rings (cycles of look-ahead for issue slots). The
-/// maximum useful skew is bounded by ROB size × worst-case latency, well
-/// under this.
-const RING: usize = 1 << 16;
+/// Initial length of the booking rings, in cycles. The live window of a
+/// booking — from the instruction's dispatch floor to its issue cycle —
+/// never exceeded ~134 cycles on any quick benchmark, so a ring this
+/// size (8 KiB) rarely grows; when a window reaches the length, every
+/// ring of the back half doubles (see [`BackHalf::grow_rings`]).
+const RING: usize = 1 << 10;
 
-/// Per-cycle resource booking with a fixed-size ring.
+/// Per-cycle resource booking in a power-of-two ring.
 ///
-/// Each entry packs `(key << COUNT_BITS) | count` into one word, where
-/// `key = (generation << CYCLE_BITS) | cycle`, so a probe touches one
-/// cache line instead of two parallel arrays. Counts are bounded by the
-/// machine widths (≤ issue width / pool size, far below 2^COUNT_BITS).
+/// Each entry packs `(cycle << COUNT_BITS) | count` into one word, so a
+/// probe touches one cache line and an entry left by an older cycle that
+/// shares the slot reads as empty. Counts are bounded by the machine
+/// widths (≤ issue width / pool size, far below 2^COUNT_BITS).
 ///
-/// The *generation* tag is what makes ring reuse cheap: rings are checked
-/// out of a process-wide pool, and because every entry's key embeds the
-/// generation of the checkout that wrote it — and the pool never issues a
-/// generation twice — entries left over from a previous simulation, on
-/// this thread or any other, can never match a probe from the current
-/// one. A fresh back half therefore pays neither the 512 KiB-per-ring
-/// zeroing nor the page faults of a cold allocation — construction cost
-/// that dominated short runs, and that a per-thread pool paid again on
-/// every freshly spawned worker.
+/// Keying by the whole cycle makes every probe exact; only a booking can
+/// lose information, by overwriting a *live* entry whose cycle shares
+/// the slot. [`BackHalf::time`] rules that out by keeping every booking
+/// within one ring length of the dispatch floor.
 #[derive(Debug)]
 struct SlotRing {
     slots: Vec<u64>,
-    generation: u64,
+    mask: usize,
 }
 
 /// Low bits of a slot entry reserved for the booking count.
 const COUNT_BITS: u32 = 8;
 const COUNT_MASK: u64 = (1 << COUNT_BITS) - 1;
-/// Bits of the entry key holding the cycle; the rest hold the generation.
-/// 2^32 cycles is orders of magnitude beyond any simulated budget, and
-/// 2^24 generations (ring checkouts) beyond any campaign; a checkout
-/// falls back to clearing if generations ever wrap.
-const CYCLE_BITS: u32 = 32;
-const MAX_GENERATION: u64 = 1 << (64 - COUNT_BITS - CYCLE_BITS);
-
-/// Free ring storage plus the generation counter that keeps it sound.
-struct RingPool {
-    free: Mutex<Vec<Vec<u64>>>,
-    checkouts: AtomicU64,
-}
-
-impl RingPool {
-    const fn new(checkouts: u64) -> Self {
-        RingPool {
-            free: Mutex::new(Vec::new()),
-            checkouts: AtomicU64::new(checkouts),
-        }
-    }
-
-    fn checkout(&self) -> SlotRing {
-        let n = self.checkouts.fetch_add(1, Ordering::Relaxed);
-        let pooled = self.free.lock().expect("ring pool lock").pop();
-        let mut slots = pooled.unwrap_or_else(|| vec![u64::MAX; RING]);
-        if n >= MAX_GENERATION {
-            // Generations have lapped: a pooled ring may hold entries
-            // whose (reissued) generation matches a future probe, so
-            // from here on every checkout pays the clearing pass the
-            // tagging scheme normally avoids.
-            slots.fill(u64::MAX);
-        }
-        SlotRing {
-            slots,
-            generation: n % MAX_GENERATION,
-        }
-    }
-
-    fn give_back(&self, ring: &mut SlotRing) {
-        let slots = std::mem::take(&mut ring.slots);
-        if slots.len() == RING {
-            self.free.lock().expect("ring pool lock").push(slots);
-        }
-    }
-}
-
-static RING_POOL: RingPool = RingPool::new(0);
+/// A slot no booking has written.
+const EMPTY: u64 = u64::MAX;
 
 impl SlotRing {
-    fn new() -> Self {
-        RING_POOL.checkout()
+    fn new(len: usize) -> Self {
+        debug_assert!(len.is_power_of_two());
+        SlotRing {
+            slots: vec![EMPTY; len],
+            mask: len - 1,
+        }
     }
 
-    #[inline]
-    fn key(&self, cycle: u64) -> u64 {
-        debug_assert!(cycle < 1 << CYCLE_BITS, "cycle {cycle} overflows ring key");
-        (self.generation << CYCLE_BITS) | cycle
+    fn len(&self) -> usize {
+        self.slots.len()
     }
 
     #[inline]
     fn count_at(&self, cycle: u64) -> u32 {
-        let e = self.slots[cycle as usize & (RING - 1)];
-        if e >> COUNT_BITS == self.key(cycle) {
+        let e = self.slots[cycle as usize & self.mask];
+        if e >> COUNT_BITS == cycle {
             (e & COUNT_MASK) as u32
         } else {
             0
@@ -172,19 +128,24 @@ impl SlotRing {
 
     #[inline]
     fn book(&mut self, cycle: u64) {
-        let key = self.key(cycle);
-        let slot = &mut self.slots[cycle as usize & (RING - 1)];
-        if *slot >> COUNT_BITS == key {
+        let slot = &mut self.slots[cycle as usize & self.mask];
+        if *slot >> COUNT_BITS == cycle {
             *slot += 1;
         } else {
-            *slot = (key << COUNT_BITS) | 1;
+            *slot = (cycle << COUNT_BITS) | 1;
         }
     }
-}
 
-impl Drop for SlotRing {
-    fn drop(&mut self) {
-        RING_POOL.give_back(self);
+    /// This ring rebuilt at `len` slots, keeping the entries of cycles at
+    /// or after `floor` (no later probe reaches an earlier cycle).
+    fn grown(&self, len: usize, floor: u64) -> SlotRing {
+        let mut ring = SlotRing::new(len);
+        for &e in &self.slots {
+            if e != EMPTY && e >> COUNT_BITS >= floor {
+                ring.slots[(e >> COUNT_BITS) as usize & ring.mask] = e;
+            }
+        }
+        ring
     }
 }
 
@@ -285,10 +246,11 @@ impl<'p> FrontHalf<'p> {
         &self.predictor
     }
 
-    /// Interprets and predicts up to `n` more instructions into the batch
+    /// Interprets and predicts up to `n` more instructions into `batch`
     /// (fewer once the program halts).
-    fn fill(&mut self, n: usize) {
-        self.batch.clear();
+    fn fill(&mut self, batch: &mut Vec<Event>, n: usize) {
+        batch.clear();
+        batch.reserve(n);
         for _ in 0..n {
             let Some(r) = self.machine.step() else {
                 break;
@@ -312,7 +274,7 @@ impl<'p> FrontHalf<'p> {
                     | if correct { CORRECT } else { 0 }
                     | if bubble_free { BUBBLE_FREE } else { 0 };
             }
-            self.batch.push(Event {
+            batch.push(Event {
                 pc: r.pc,
                 mem_addr: r.mem_addr.unwrap_or(0),
                 class: op.class() as u8,
@@ -330,16 +292,33 @@ impl<'p> FrontHalf<'p> {
     /// than `budget` only when the program halted. Calling it again
     /// resumes where the last call stopped.
     pub fn drive(&mut self, budget: u64, mut consume: impl FnMut(&[Event])) -> u64 {
+        self.drive_owned(budget, |batch| {
+            consume(&batch);
+            batch
+        })
+    }
+
+    /// [`Self::drive`], handing each filled batch to `consume` by value:
+    /// the closure may pass the batch on to other threads and returns
+    /// the (possibly recycled) buffer the next batch is filled into.
+    pub fn drive_owned(
+        &mut self,
+        budget: u64,
+        mut consume: impl FnMut(Vec<Event>) -> Vec<Event>,
+    ) -> u64 {
         let mut driven = 0;
         while driven < budget {
             let want = usize::try_from(budget - driven).map_or(BATCH, |left| left.min(BATCH));
-            self.fill(want);
-            if self.batch.is_empty() {
+            let mut batch = std::mem::take(&mut self.batch);
+            self.fill(&mut batch, want);
+            let filled = batch.len();
+            if filled == 0 {
+                self.batch = batch;
                 break;
             }
-            consume(&self.batch);
-            driven += self.batch.len() as u64;
-            if self.batch.len() < want {
+            self.batch = consume(batch);
+            driven += filled as u64;
+            if filled < want {
                 break;
             }
         }
@@ -412,6 +391,16 @@ pub struct BackHalf<IC: InstCache> {
 impl<IC: InstCache> BackHalf<IC> {
     /// Builds the timing state for one configuration.
     pub fn new(cfg: CpuConfig, icache: IC, hierarchy: HierarchyConfig) -> Self {
+        Self::with_ring_len(cfg, icache, hierarchy, RING)
+    }
+
+    /// [`Self::new`] with booking rings that start at `ring_len` slots.
+    fn with_ring_len(
+        cfg: CpuConfig,
+        icache: IC,
+        hierarchy: HierarchyConfig,
+        ring_len: usize,
+    ) -> Self {
         cfg.validate();
         let block_bits = icache.block_bytes().trailing_zeros();
         let hit_latency = icache.hit_latency();
@@ -437,8 +426,10 @@ impl<IC: InstCache> BackHalf<IC> {
             lsq_ring: vec![0; cfg.lsq_entries as usize],
             commit_ring: vec![0; cfg.commit_width as usize],
             last_commit: 0,
-            issue_slots: SlotRing::new(),
-            fu_slots: (0..CpuConfig::NUM_POOLS).map(|_| SlotRing::new()).collect(),
+            issue_slots: SlotRing::new(ring_len),
+            fu_slots: (0..CpuConfig::NUM_POOLS)
+                .map(|_| SlotRing::new(ring_len))
+                .collect(),
             rob_cursor: 0,
             commit_cursor: 0,
             lsq_cursor: 0,
@@ -478,6 +469,25 @@ impl<IC: InstCache> BackHalf<IC> {
         self.stats.cycles = self.last_commit;
         self.icache.finish(self.last_commit);
         self.stats
+    }
+
+    /// Rebuilds every booking ring at the smallest power-of-two length
+    /// above `window`, keeping the entries at or after `floor`.
+    ///
+    /// Exact: `floor` is the booking instruction's dispatch floor, which
+    /// never decreases and which no later probe can undercut, and every
+    /// earlier booking was within one (then smaller) ring length of an
+    /// earlier floor. So the live entries and the new booking span less
+    /// than the new length, and no two of them share a slot.
+    #[cold]
+    fn grow_rings(&mut self, window: u64, floor: u64) {
+        let len = usize::try_from(window + 1)
+            .expect("booking window fits the address space")
+            .next_power_of_two();
+        self.issue_slots = self.issue_slots.grown(len, floor);
+        for ring in &mut self.fu_slots {
+            *ring = ring.grown(len, floor);
+        }
     }
 
     /// Times one committed instruction.
@@ -528,6 +538,9 @@ impl<IC: InstCache> BackHalf<IC> {
                 break;
             }
             issue += 1;
+        }
+        if issue - dispatch_ready >= self.issue_slots.len() as u64 {
+            self.grow_rings(issue - dispatch_ready, dispatch_ready);
         }
         self.issue_slots.book(issue);
         self.fu_slots[class.pool].book(issue);
@@ -780,58 +793,6 @@ mod tests {
         assert!(core.stats().branches > 0);
     }
 
-    #[test]
-    fn a_ring_handed_between_threads_forgets_its_old_owner() {
-        let pool = RingPool::new(0);
-        let booked: Vec<u64> = (0..5_000).map(|c| c * 13).collect();
-        let (storage, old_generation) = std::thread::scope(|s| {
-            s.spawn(|| {
-                let mut ring = pool.checkout();
-                for &cycle in &booked {
-                    ring.book(cycle);
-                    ring.book(cycle);
-                }
-                assert_eq!(ring.count_at(booked[7]), 2);
-                let id = (ring.slots.as_ptr() as usize, ring.generation);
-                pool.give_back(&mut ring);
-                id
-            })
-            .join()
-            .expect("owner thread")
-        });
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let mut ring = pool.checkout();
-                assert_eq!(
-                    ring.slots.as_ptr() as usize,
-                    storage,
-                    "pooled storage reused"
-                );
-                assert_ne!(ring.generation, old_generation);
-                for &cycle in &booked {
-                    assert_eq!(ring.count_at(cycle), 0, "cycle {cycle} leaked");
-                }
-                pool.give_back(&mut ring);
-            });
-        });
-    }
-
-    #[test]
-    fn lapped_generations_clear_pooled_rings() {
-        let pool = RingPool::new(MAX_GENERATION - 1);
-        let mut ring = pool.checkout();
-        assert_eq!(ring.generation, MAX_GENERATION - 1);
-        ring.book(3);
-        pool.give_back(&mut ring);
-        // Checkout MAX_GENERATION reissues generation 0: only clearing
-        // keeps an old entry from matching.
-        let mut wrapped = pool.checkout();
-        assert_eq!(wrapped.generation, 0);
-        assert!(wrapped.slots.iter().all(|&e| e == u64::MAX));
-        assert_eq!(wrapped.count_at(3), 0);
-        pool.give_back(&mut wrapped);
-    }
-
     fn resumed_equals_whole<IC: InstCache>(make: impl Fn() -> IC) {
         let g = Benchmark::Li.build();
         let cfg = CpuConfig::hpca01();
@@ -907,6 +868,64 @@ mod tests {
                 r.bpred_accuracy.to_bits()
             );
         }
+    }
+
+    /// A cache-resident loop of independent work on a narrow, deep
+    /// machine: 2-wide issue and one FP multiplier behind a 4096-entry
+    /// ROB. Issue slots are the bottleneck, so every cycle from the
+    /// dispatch floor to the latest booking is full and the window grows
+    /// to ~ROB / issue width cycles. A lost booking count anywhere in it
+    /// lets a later instruction issue into a full cycle.
+    fn wide_window() -> (Program, CpuConfig) {
+        let mut body = Vec::new();
+        for i in 0..4 {
+            body.push(Inst::new(Op::FMul, 10 + i, 20, 21, 0));
+            body.push(Inst::new(Op::Add, 10 + i, 20, 21, 0));
+            body.push(Inst::new(Op::Add, 14 + i, 20, 21, 0));
+        }
+        body.push(Inst::new(Op::Addi, 1, 1, 0, -1));
+        let top = 0x1000 + 4;
+        body.push(Inst::new(Op::Bne, 0, 1, 0, top));
+        let mut insts = vec![Inst::new(Op::Addi, 1, 0, 0, 1_000_000)];
+        insts.extend(body);
+        insts.push(Inst::new(Op::Halt, 0, 0, 0, 0));
+        let program = Program::new("wide-window", 0x1000, insts, 0x10_0000, 4096, 1);
+        let cfg = CpuConfig {
+            issue_width: 2,
+            rob_entries: 4096,
+            fu: crate::config::FuPools {
+                fp_mul: 1,
+                ..CpuConfig::hpca01().fu
+            },
+            ..CpuConfig::hpca01()
+        };
+        (program, cfg)
+    }
+
+    #[test]
+    fn rings_grow_past_a_kilobyte_window_and_stay_exact() {
+        let (program, cfg) = wide_window();
+        let run = |ring_len: usize| {
+            let mut front = FrontHalf::new(&program);
+            let mut back = BackHalf::with_ring_len(
+                cfg,
+                ConventionalICache::hpca01(),
+                HierarchyConfig::hpca01(),
+                ring_len,
+            );
+            front.drive(30_000, |batch| back.consume(batch));
+            (back.finish(), back.issue_slots.len())
+        };
+        let (grown, grown_len) = run(RING);
+        assert!(grown_len > RING, "the window outgrew {RING} slots");
+        assert!(
+            grown.cycles > 10_000,
+            "issue-bound: ~2 instructions a cycle"
+        );
+        // Rings wide enough never to grow: no booking ever collides.
+        let (wide, wide_len) = run(1 << 16);
+        assert_eq!(wide_len, 1 << 16);
+        assert_eq!(grown, wide, "growing rings lose no booking");
     }
 
     #[test]

@@ -3,12 +3,11 @@
 //! geometry, using the same miss-bound feedback loop for both.
 
 use dri_core::{DriConfig, WayConfig};
-use dri_experiments::harness::{banner, base_config, for_each_benchmark, space};
+use dri_experiments::harness::{banner, base_config, parallel_map, space};
 use dri_experiments::report::{pct, Table};
-use dri_experiments::runner::{
-    compare_with_baseline, run_conventional, run_dri, run_way_resizable,
-};
 use dri_experiments::search::search_benchmark;
+use dri_experiments::sweeps::compare_variants;
+use dri_experiments::PolicyConfig;
 
 fn main() {
     banner(
@@ -16,9 +15,10 @@ fn main() {
         "~quantifies the design argument of section 2 of Yang et al., HPCA 2001",
     );
     let grid = space();
-    let rows = for_each_benchmark(&dri_experiments::config().benchmarks, |b| {
-        // Tune on the 4-way geometry, then run both resizing styles with
-        // the same feedback parameters against the same 4-way baseline.
+    let benchmarks = &dri_experiments::config().benchmarks;
+    // Tune on the 4-way geometry, then run both resizing styles with the
+    // same feedback parameters against the same 4-way baseline.
+    let tuned = parallel_map(benchmarks, |&b| {
         let mut base = base_config(b);
         base.dri = DriConfig {
             miss_bound: base.dri.miss_bound,
@@ -30,20 +30,21 @@ fn main() {
         let mut tuned = base.clone();
         tuned.dri.miss_bound = sr.constrained.miss_bound;
         tuned.dri.size_bound_bytes = sr.constrained.size_bound_bytes;
-
-        let baseline = run_conventional(&tuned);
-        let dri = run_dri(&tuned);
-        let set_cmp = compare_with_baseline(&tuned, &baseline, &dri);
-
-        let way_cfg = WayConfig {
-            miss_bound: tuned.dri.miss_bound,
-            sense_interval: tuned.dri.sense_interval,
-            ..WayConfig::hpca01_64k_4way()
-        };
-        let way = run_way_resizable(&tuned, way_cfg);
-        let way_cmp = compare_with_baseline(&tuned, &baseline, &way);
-        (set_cmp, way_cmp)
+        tuned
     });
+    let rows: Vec<_> = benchmarks
+        .iter()
+        .zip(compare_variants(&tuned, |tuned| {
+            let mut way = tuned.clone();
+            way.policy = Some(PolicyConfig::WayResize(WayConfig {
+                miss_bound: tuned.dri.miss_bound,
+                sense_interval: tuned.dri.sense_interval,
+                ..WayConfig::hpca01_64k_4way()
+            }));
+            vec![tuned.clone(), way]
+        }))
+        .map(|(b, cmps)| (b, (cmps[0], cmps[1])))
+        .collect();
 
     let mut t = Table::new([
         "benchmark",

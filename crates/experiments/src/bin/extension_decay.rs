@@ -6,24 +6,23 @@
 //! and energy accounting, sweeping the decay interval.
 
 use dri_core::{DecayConfig, PolicyConfig};
-use dri_experiments::harness::{banner, base_config, for_each_benchmark, space};
+use dri_experiments::harness::{banner, base_config, parallel_map, space};
 use dri_experiments::report::{pct, Table};
-use dri_experiments::runner::{
-    compare_with_baseline, run_conventional, run_dri, run_policy, DriRun, RunConfig,
-};
+use dri_experiments::runner::RunConfig;
 use dri_experiments::search::search_benchmark;
+use dri_experiments::sweeps::compare_variants;
 
-/// Runs a decaying i-cache under the same system configuration, through
-/// the policy path: the run is session-memoized and store-persisted
-/// under the decay key (and honours `seed_override`/`instruction_budget`
-/// like every other policy, which the old hand-rolled loop here did not).
-fn run_decay(cfg: &RunConfig, interval_cycles: u64) -> DriRun {
+/// A decaying i-cache under the same system configuration, through the
+/// policy path: the run is session-memoized and store-persisted under
+/// the decay key (and honours `seed_override`/`instruction_budget` like
+/// every other policy).
+fn decay(cfg: &RunConfig, interval_cycles: u64) -> RunConfig {
     let mut cfg = cfg.clone();
     cfg.policy = Some(PolicyConfig::Decay(DecayConfig {
         decay_interval_cycles: interval_cycles,
         ..PolicyConfig::decay_from(&cfg.dri)
     }));
-    run_policy(&cfg)
+    cfg
 }
 
 fn main() {
@@ -33,24 +32,25 @@ fn main() {
     );
     let grid = space();
     let decay_intervals: [u64; 2] = [32 * 1024, 256 * 1024];
-    let rows = for_each_benchmark(&dri_experiments::config().benchmarks, |b| {
+    let benchmarks = &dri_experiments::config().benchmarks;
+    let tuned = parallel_map(benchmarks, |&b| {
         let base = base_config(b);
         let sr = search_benchmark(&base, &grid);
         let mut tuned = base.clone();
         tuned.dri.miss_bound = sr.constrained.miss_bound;
         tuned.dri.size_bound_bytes = sr.constrained.size_bound_bytes;
-        let baseline = run_conventional(&tuned);
-        let dri = run_dri(&tuned);
-        let dri_cmp = compare_with_baseline(&tuned, &baseline, &dri);
-        let decays: Vec<_> = decay_intervals
-            .iter()
-            .map(|&d| {
-                let run = run_decay(&tuned, d);
-                compare_with_baseline(&tuned, &baseline, &run)
-            })
-            .collect();
-        (dri_cmp, decays)
+        tuned
     });
+    // Per benchmark: DRI, then decay at each interval.
+    let rows: Vec<_> = benchmarks
+        .iter()
+        .zip(compare_variants(&tuned, |tuned| {
+            let mut cfgs = vec![tuned.clone()];
+            cfgs.extend(decay_intervals.iter().map(|&d| decay(tuned, d)));
+            cfgs
+        }))
+        .map(|(b, cmps)| (b, (cmps[0], cmps[1..].to_vec())))
+        .collect();
 
     let mut t = Table::new([
         "benchmark",

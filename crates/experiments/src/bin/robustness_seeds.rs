@@ -6,7 +6,7 @@
 
 use dri_experiments::harness::{banner, base_config};
 use dri_experiments::report::{pct, Table};
-use dri_experiments::runner::{compare_with_baseline, run_conventional, run_dri};
+use dri_experiments::sweeps::compare_variants;
 use synth_workload::suite::Benchmark;
 
 fn main() {
@@ -20,6 +20,20 @@ fn main() {
         (Benchmark::Hydro2d, 50, 8 * 1024),
     ];
     let seeds = [1u64, 7, 42, 1234];
+    let cfgs: Vec<_> = cases
+        .iter()
+        .flat_map(|&(bench, mb, sb)| {
+            seeds.iter().map(move |&seed| {
+                let mut cfg = base_config(bench);
+                cfg.dri.miss_bound = mb;
+                cfg.dri.size_bound_bytes = sb;
+                cfg.seed_override = Some(seed);
+                cfg
+            })
+        })
+        .collect();
+    // Every (case, seed) is its own stream: one grid resolves them all.
+    let comparisons = compare_variants(&cfgs, |cfg| vec![cfg.clone()]);
 
     let mut t = Table::new([
         "benchmark",
@@ -29,16 +43,10 @@ fn main() {
         "slowdown",
         "conv miss/cyc",
     ]);
-    for (bench, mb, sb) in cases {
+    for ((bench, _, _), rows) in cases.iter().zip(comparisons.chunks(seeds.len())) {
         let mut eds = Vec::new();
-        for &seed in &seeds {
-            let mut cfg = base_config(bench);
-            cfg.dri.miss_bound = mb;
-            cfg.dri.size_bound_bytes = sb;
-            cfg.seed_override = Some(seed);
-            let baseline = run_conventional(&cfg);
-            let dri = run_dri(&cfg);
-            let c = compare_with_baseline(&cfg, &baseline, &dri);
+        for (&seed, row) in seeds.iter().zip(rows) {
+            let c = row[0];
             t.row([
                 bench.name().to_owned(),
                 seed.to_string(),

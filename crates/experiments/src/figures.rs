@@ -26,9 +26,9 @@ use crate::published;
 use crate::report::{kbytes, pct, Table};
 use crate::search::{grid_configs, search_all, search_benchmark};
 use crate::sweeps::{
-    divisibility_grid, divisibility_sweep, geometry_grid, geometry_sweep, interval_grid,
-    interval_sweep, miss_bound_grid, miss_bound_sweep, size_bound_grid, size_bound_sweep,
-    GeometrySweep, MissBoundSweep, SizeBoundSweep,
+    compare_variants, divisibility_grid, divisibility_sweep, geometry_grid, geometry_sweep,
+    interval_grid, interval_sweep, miss_bound_grid, miss_bound_sweep, size_bound_grid,
+    size_bound_sweep, GeometrySweep, MissBoundSweep, SizeBoundSweep,
 };
 use crate::Comparison;
 use dri_core::{DriConfig, PolicyConfig};
@@ -561,17 +561,12 @@ pub fn policies(benchmarks: &[Benchmark]) {
     );
     prefetch_sweep_campaign(benchmarks, four_way_base, policy_variants);
 
-    let rows: Vec<(Benchmark, Vec<Comparison>)> = for_each_benchmark(benchmarks, |b| {
-        let four_way = tuned(four_way_base(b));
-        let baseline = crate::run_conventional(&four_way);
-        policy_variants(&four_way)
-            .iter()
-            .map(|cfg| {
-                let run = crate::run_policy(cfg);
-                crate::runner::compare_with_baseline(cfg, &baseline, &run)
-            })
-            .collect()
-    });
+    let bases = crate::harness::parallel_map(benchmarks, |&b| tuned(four_way_base(b)));
+    let rows: Vec<(Benchmark, Vec<Comparison>)> = benchmarks
+        .iter()
+        .copied()
+        .zip(compare_variants(&bases, policy_variants))
+        .collect();
 
     let ids = PolicyConfig::all_ids();
     let mut header: Vec<String> = vec!["benchmark".to_owned()];

@@ -21,9 +21,38 @@ pub fn threads() -> usize {
 /// CPU-bound threads.
 static ACTIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
-/// Returns a [`parallel_map`]'s workers to the budget when the map ends,
-/// whether its scope returned or re-raised a worker's panic.
-struct Reserved(usize);
+/// Workers taken from the [`threads`] budget — by a [`parallel_map`] or
+/// by a lockstep group's back-half threads — and returned when dropped,
+/// whether the scope that used them returned or re-raised a worker's
+/// panic.
+#[derive(Debug)]
+pub(crate) struct Reserved(usize);
+
+impl Reserved {
+    /// Reserves up to `want` workers: as many as the budget has left
+    /// (possibly none).
+    pub(crate) fn up_to(want: usize) -> Self {
+        let mut got = 0;
+        let _ = ACTIVE_WORKERS.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |active| {
+            got = threads().saturating_sub(active).min(want);
+            Some(active + got)
+        });
+        Reserved(got)
+    }
+
+    /// How many workers were reserved.
+    pub(crate) fn count(&self) -> usize {
+        self.0
+    }
+}
+
+/// Holds up to `n` workers of the [`threads`] budget until the returned
+/// guard drops, so fan-outs under it are granted fewer. Tests pin grant
+/// widths with it.
+#[doc(hidden)]
+pub fn hold_workers(n: usize) -> impl Drop {
+    Reserved::up_to(n)
+}
 
 impl Drop for Reserved {
     fn drop(&mut self) {
@@ -34,8 +63,7 @@ impl Drop for Reserved {
 /// The workers a [`parallel_map`] over `items` items would be granted
 /// right now: what is left of the [`threads`] budget, at most one per
 /// item and at least one (the calling thread, running inline). Grid
-/// simulation sizes its lockstep groups from this, so the split and the
-/// fan-out that runs it cannot drift apart.
+/// simulation shares this grant among its lockstep groups.
 pub fn granted_workers(items: usize) -> usize {
     threads()
         .saturating_sub(ACTIVE_WORKERS.load(Ordering::SeqCst))
@@ -52,12 +80,13 @@ pub fn granted_workers(items: usize) -> usize {
 /// Work is claimed from a shared atomic cursor, so uneven item costs
 /// (a thrashing sweep point next to a quiet one) still pack tightly.
 pub fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let workers = granted_workers(items.len());
+    let reserved = Reserved::up_to(items.len());
+    let workers = reserved.count();
     if workers <= 1 {
+        // Inline on the caller: leave the worker to fan-outs under `f`.
+        drop(reserved);
         return items.iter().map(f).collect();
     }
-    ACTIVE_WORKERS.fetch_add(workers, Ordering::SeqCst);
-    let _reserved = Reserved(workers);
     let next = AtomicUsize::new(0);
     let results = std::sync::Mutex::new(Vec::with_capacity(items.len()));
     std::thread::scope(|scope| {

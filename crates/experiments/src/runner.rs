@@ -33,7 +33,10 @@ use energy_model::params::EnergyParams;
 use ooo_cpu::config::CpuConfig;
 use ooo_cpu::core::{BackHalf, Event, FrontHalf};
 use ooo_cpu::stats::CpuStats;
+use std::sync::{mpsc, Arc};
 use synth_workload::suite::Benchmark;
+
+use crate::harness::Reserved;
 
 /// Everything needed to simulate one benchmark on one DRI configuration.
 #[derive(Debug, Clone)]
@@ -239,7 +242,7 @@ impl Record {
 
 /// One back half of a lockstep group, behind the one dynamic call per
 /// batch that lets a group mix i-cache types.
-trait Member {
+trait Member: Send {
     fn consume(&mut self, batch: &[Event]);
     /// Closes out the run and reads its record.
     fn record(&mut self, bpred_accuracy: f64) -> Record;
@@ -268,7 +271,7 @@ impl Member for BaselineMember {
 /// [`DriRun`] shape.
 struct PolicyMember<IC: InstCache>(BackHalf<IC>);
 
-impl<IC: InstCache + LeakagePolicy> Member for PolicyMember<IC> {
+impl<IC: InstCache + LeakagePolicy + Send> Member for PolicyMember<IC> {
     fn consume(&mut self, batch: &[Event]) {
         self.0.consume(batch);
     }
@@ -293,7 +296,7 @@ impl<IC: InstCache + LeakagePolicy> Member for PolicyMember<IC> {
     }
 }
 
-fn policy_member<IC: InstCache + LeakagePolicy + 'static>(
+fn policy_member<IC: InstCache + LeakagePolicy + Send + 'static>(
     cfg: &RunConfig,
     icache: IC,
 ) -> Box<dyn Member> {
@@ -325,9 +328,16 @@ fn member(job: Job<'_>) -> Box<dyn Member> {
 /// half times every batch. All jobs must share a [`StreamKey`]; records
 /// come back in job order, each bit-identical to simulating its job
 /// alone.
+///
+/// With `workers > 1` the back halves are fanned out: up to
+/// `workers − 1` more workers are reserved from the
+/// [`crate::harness`] budget, each owning a disjoint slice of the jobs,
+/// and the front half's thread hands every batch to them as an [`Arc`]
+/// over a bounded channel before timing its own (smallest) slice.
 pub(crate) fn simulate_group(
     generated: &synth_workload::Generated,
     jobs: &[Job<'_>],
+    workers: usize,
 ) -> Vec<Record> {
     let Some(first) = jobs.first() else {
         return Vec::new();
@@ -337,16 +347,77 @@ pub(crate) fn simulate_group(
             .all(|job| stream_key(job.cfg()) == stream_key(first.cfg())),
         "a lockstep group shares one stream"
     );
-    let mut members: Vec<Box<dyn Member>> = jobs.iter().map(|&job| member(job)).collect();
     let mut front = FrontHalf::new(&generated.program);
-    front.drive(
-        budget_for(first.cfg(), generated.cycle_instructions),
-        |batch| {
-            for m in &mut members {
-                m.consume(batch);
+    let budget = budget_for(first.cfg(), generated.cycle_instructions);
+    let reserved = Reserved::up_to(workers.min(jobs.len()).saturating_sub(1));
+
+    // The front thread takes the smallest slice: ⌊n / w⌋ jobs, the last
+    // ones; the other workers split the rest, widest slices first. With
+    // one worker that is every job, and no thread is spawned.
+    let w = reserved.count() + 1;
+    let (rest, own) = jobs.split_at(jobs.len() - jobs.len() / w);
+    let mut slices = Vec::with_capacity(w - 1);
+    let mut tail = rest;
+    for k in 0..w - 1 {
+        let (slice, after) = tail.split_at(tail.len().div_ceil(w - 1 - k));
+        slices.push(slice);
+        tail = after;
+    }
+    std::thread::scope(|scope| {
+        let mut senders = Vec::with_capacity(slices.len());
+        let mut handles = Vec::with_capacity(slices.len());
+        for slice in slices {
+            let (tx, rx) = mpsc::sync_channel::<Arc<Vec<Event>>>(FAN_DEPTH);
+            senders.push(tx);
+            handles.push(scope.spawn(move || {
+                let mut members = members(slice);
+                for batch in rx {
+                    for m in &mut members {
+                        m.consume(&batch);
+                    }
+                }
+                members
+            }));
+        }
+        let mut members = members(own);
+        front.drive_owned(budget, |batch| {
+            let batch = Arc::new(batch);
+            for tx in &senders {
+                tx.send(Arc::clone(&batch))
+                    .expect("a back-half thread hung up");
             }
-        },
-    );
+            for m in &mut members {
+                m.consume(&batch);
+            }
+            // A buffer no other thread still holds (always so at one
+            // worker) is refilled; otherwise the next batch gets a
+            // fresh one.
+            Arc::try_unwrap(batch).unwrap_or_default()
+        });
+        drop(senders);
+        let mut out = Vec::with_capacity(jobs.len());
+        for handle in handles {
+            let mut slice = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            out.extend(records(&mut slice, &front));
+        }
+        out.extend(records(&mut members, &front));
+        out
+    })
+}
+
+/// Batches a fanned-out lockstep group lets queue per back-half thread
+/// before the front half waits for it.
+const FAN_DEPTH: usize = 2;
+
+/// The back halves of `jobs`, in job order.
+fn members(jobs: &[Job<'_>]) -> Vec<Box<dyn Member>> {
+    jobs.iter().map(|&job| member(job)).collect()
+}
+
+/// Closes out every back half of a finished stream.
+fn records(members: &mut [Box<dyn Member>], front: &FrontHalf<'_>) -> Vec<Record> {
     let accuracy = front.predictor().stats().accuracy();
     members.iter_mut().map(|m| m.record(accuracy)).collect()
 }
@@ -355,7 +426,7 @@ fn simulate_conventional(
     cfg: &RunConfig,
     generated: &synth_workload::Generated,
 ) -> ConventionalRun {
-    simulate_group(generated, &[Job::Baseline(cfg)])[0].baseline()
+    simulate_group(generated, &[Job::Baseline(cfg)], 1)[0].baseline()
 }
 
 /// Simulates the baseline with a session-cached workload but no run
@@ -386,7 +457,7 @@ pub fn run_conventional(cfg: &RunConfig) -> ConventionalRun {
 
 /// Simulates the i-cache `cfg`'s resolved policy selects.
 fn simulate_policy(cfg: &RunConfig, generated: &synth_workload::Generated) -> DriRun {
-    simulate_group(generated, &[Job::Policy(cfg)])[0].policy()
+    simulate_group(generated, &[Job::Policy(cfg)], 1)[0].policy()
 }
 
 /// Simulates `cfg`'s resolved policy with a session-cached workload but
@@ -422,19 +493,6 @@ pub fn run_dri_uncached(cfg: &RunConfig) -> DriRun {
 /// Runs the DRI i-cache for `cfg` (alias of [`run_policy`]; see there).
 pub fn run_dri(cfg: &RunConfig) -> DriRun {
     run_policy(cfg)
-}
-
-/// Runs the Albonesi-style way-resizing ablation cache (see
-/// `dri_core::way_resize`) under the same system configuration — now a
-/// thin wrapper that pins [`RunConfig::policy`] to
-/// [`PolicyConfig::WayResize`] and goes through [`run_policy`], so
-/// ablation runs share the session memoization and store keys like every
-/// other policy. Way resizing needs no resizing tag bits, so
-/// `resizing_bits` is 0.
-pub fn run_way_resizable(cfg: &RunConfig, way: dri_core::WayConfig) -> DriRun {
-    let mut cfg = cfg.clone();
-    cfg.policy = Some(PolicyConfig::WayResize(way));
-    run_policy(&cfg)
 }
 
 /// A paired DRI-vs-conventional comparison with the §5.2 energy metrics.

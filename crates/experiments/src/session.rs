@@ -1142,9 +1142,12 @@ impl SimSession {
     /// 3. The misses are grouped by what the front half reads
     ///    (benchmark, seed override, instruction budget) and each group
     ///    is simulated in lockstep: one interpretation of the stream
-    ///    drives every record's back half. A stream's misses are split
-    ///    into `max(granted workers, ⌈n / MAX_BACK_HALVES⌉)` groups (at
-    ///    most `n`), run across [`crate::harness::parallel_map`].
+    ///    drives every record's back half. A stream's `n` misses form
+    ///    `⌈n / MAX_BACK_HALVES⌉` groups, whatever the worker grant. The
+    ///    groups run across [`crate::harness::parallel_map`]; when there
+    ///    are fewer groups than granted workers, each group also gets a
+    ///    share of the leftover grant and fans its back halves out over
+    ///    that many threads, still interpreting the stream once.
     /// 4. Each simulated record is published exactly as a per-point miss
     ///    is: one `baseline_misses`/`dri_misses`, a disk save, a push
     ///    buffer entry, and a first-wins memory install.
@@ -1239,25 +1242,27 @@ impl SimSession {
             }
         }
         let sizes: Vec<usize> = streams.iter().map(|(_, members)| members.len()).collect();
-        let splits = group_counts(&sizes, crate::harness::granted_workers(jobs.len()));
         let mut groups: Vec<(Arc<Generated>, &[usize])> = Vec::new();
-        for ((_, members), &split) in streams.iter().zip(&splits) {
+        for ((_, members), count) in streams.iter().zip(group_counts(&sizes)) {
             let generated = self.workload(jobs[members[0]].cfg());
-            let (size, extra) = (members.len() / split, members.len() % split);
+            let (size, extra) = (members.len() / count, members.len() % count);
             let mut rest = members.as_slice();
-            for g in 0..split {
+            for g in 0..count {
                 let (group, tail) = rest.split_at(size + usize::from(g < extra));
                 groups.push((Arc::clone(&generated), group));
                 rest = tail;
             }
         }
+        let widths: Vec<usize> = groups.iter().map(|(_, members)| members.len()).collect();
+        let shares = worker_shares(&widths, crate::harness::granted_workers(jobs.len()));
+        let groups: Vec<_> = groups.into_iter().zip(shares).collect();
 
         let timed = self.timed;
-        let simulated = crate::harness::parallel_map(&groups, |(generated, members)| {
+        let simulated = crate::harness::parallel_map(&groups, |((generated, members), workers)| {
             let ts_us = if timed { trace::now_us() } else { 0 };
             let started = Instant::now();
             let group: Vec<Job<'_>> = members.iter().map(|&i| jobs[i]).collect();
-            let records = crate::runner::simulate_group(generated, &group);
+            let records = crate::runner::simulate_group(generated, &group, *workers);
             let share = started.elapsed() / members.len() as u32;
             records
                 .into_iter()
@@ -1269,7 +1274,7 @@ impl SimSession {
                 .collect::<Vec<_>>()
         });
         let mut out: Vec<Option<Simulated>> = (0..jobs.len()).map(|_| None).collect();
-        for ((_, members), records) in groups.iter().zip(simulated) {
+        for (((_, members), _), records) in groups.iter().zip(simulated) {
             for (&i, record) in members.iter().zip(records) {
                 out[i] = Some(record);
             }
@@ -1281,21 +1286,33 @@ impl SimSession {
 }
 
 /// How many lockstep groups each stream's misses split into, given
-/// `sizes[s]` misses on stream `s` and `grant` workers: enough groups to
-/// keep every group within [`MAX_BACK_HALVES`], then — while a stream
-/// can still be split — more until every granted worker has one, always
-/// splitting the stream whose groups are widest. One stream of `n`
-/// misses gets `max(grant, ⌈n / MAX_BACK_HALVES⌉)` groups, at most `n`.
-fn group_counts(sizes: &[usize], grant: usize) -> Vec<usize> {
-    let mut counts: Vec<usize> = sizes.iter().map(|n| n.div_ceil(MAX_BACK_HALVES)).collect();
-    while counts.iter().sum::<usize>() < grant {
-        let widest = (0..sizes.len())
-            .filter(|&s| counts[s] < sizes[s])
-            .max_by_key(|&s| (sizes[s].div_ceil(counts[s]), std::cmp::Reverse(s)));
-        let Some(s) = widest else { break };
-        counts[s] += 1;
+/// `sizes[s]` misses on stream `s`: the fewest that keep every group
+/// within [`MAX_BACK_HALVES`], ⌈n / MAX_BACK_HALVES⌉. The worker grant
+/// does not split a stream further — each extra interpretation of it
+/// would repeat the front half — it fans groups out instead (see
+/// [`worker_shares`]).
+fn group_counts(sizes: &[usize]) -> Vec<usize> {
+    sizes.iter().map(|n| n.div_ceil(MAX_BACK_HALVES)).collect()
+}
+
+/// How many workers each lockstep group of `widths[g]` back halves gets
+/// out of `grant`: one each, then — while a group has fewer workers than
+/// back halves — the leftover grant one at a time to the group with the
+/// most back halves per worker (the first of a tie). With at least as
+/// many groups as the grant, every group gets one worker and the groups
+/// share the grant through [`crate::harness::parallel_map`].
+fn worker_shares(widths: &[usize], grant: usize) -> Vec<usize> {
+    let mut shares = vec![1; widths.len()];
+    let mut left = grant.saturating_sub(widths.len());
+    while left > 0 {
+        let widest = (0..widths.len())
+            .filter(|&g| shares[g] < widths[g])
+            .max_by_key(|&g| (widths[g].div_ceil(shares[g]), std::cmp::Reverse(g)));
+        let Some(g) = widest else { break };
+        shares[g] += 1;
+        left -= 1;
     }
-    counts
+    shares
 }
 
 /// One record a lockstep group simulated, with its share of the group's
@@ -1321,21 +1338,27 @@ mod tests {
     use dri_serve::RemoteStore;
 
     #[test]
-    fn grids_split_by_grant_and_cap() {
-        // A quick search (baseline + 6 points): serial, 2 and 3 workers.
-        assert_eq!(group_counts(&[7], 1), [1]);
-        assert_eq!(group_counts(&[7], 2), [2]);
-        assert_eq!(group_counts(&[7], 3), [3]);
-        // A paper-scale search (baseline + 28 points) honours the cap.
-        assert_eq!(group_counts(&[29], 1), [4]);
-        assert_eq!(group_counts(&[29], 2), [4]);
-        assert_eq!(group_counts(&[29], 6), [6]);
-        // Never more groups than records.
-        assert_eq!(group_counts(&[2], 8), [2]);
-        assert_eq!(group_counts(&[], 4), Vec::<usize>::new());
-        // Several streams: the widest splits first.
-        assert_eq!(group_counts(&[7, 7], 2), [1, 1]);
-        assert_eq!(group_counts(&[7, 2], 4), [3, 1]);
+    fn streams_split_by_the_cap_and_groups_share_the_grant() {
+        // A quick search (baseline + 6 points) is one group at any grant.
+        assert_eq!(group_counts(&[7]), [1]);
+        assert_eq!(worker_shares(&[7], 1), [1]);
+        assert_eq!(worker_shares(&[7], 2), [2]);
+        assert_eq!(worker_shares(&[7], 3), [3]);
+        // A paper-scale search (baseline + 28 points): four capped groups
+        // of 8, 7, 7 and 7 back halves.
+        assert_eq!(group_counts(&[29]), [4]);
+        assert_eq!(worker_shares(&[8, 7, 7, 7], 1), [1, 1, 1, 1]);
+        assert_eq!(worker_shares(&[8, 7, 7, 7], 2), [1, 1, 1, 1]);
+        assert_eq!(worker_shares(&[8, 7, 7, 7], 6), [2, 2, 1, 1]);
+        // Never more workers than back halves.
+        assert_eq!(worker_shares(&[2], 8), [2]);
+        assert_eq!(group_counts(&[]), Vec::<usize>::new());
+        assert_eq!(worker_shares(&[], 4), Vec::<usize>::new());
+        // Several streams: one group each; the widest fans out first.
+        assert_eq!(group_counts(&[7, 7]), [1, 1]);
+        assert_eq!(worker_shares(&[7, 7], 2), [1, 1]);
+        assert_eq!(worker_shares(&[7, 7], 3), [2, 1]);
+        assert_eq!(worker_shares(&[7, 2], 4), [3, 1]);
     }
 
     #[test]

@@ -17,10 +17,33 @@ use dri_core::DriConfig;
 /// is batch-prefetched through the session tiers first and — with push
 /// mode on — whatever it had to simulate is pushed upward afterwards.
 fn compare_points(base: &RunConfig, cfgs: &[RunConfig]) -> Vec<Comparison> {
-    let grid = SimSession::global().resolve_grid(std::slice::from_ref(base), cfgs);
-    cfgs.iter()
-        .zip(&grid.points)
-        .map(|(cfg, dri)| compare_with_baseline(cfg, &grid.baselines[0], dri))
+    compare_variants(std::slice::from_ref(base), |_| cfgs.to_vec())
+        .pop()
+        .expect("one row per base")
+}
+
+/// Resolves the baseline of every base and the policy side of each
+/// base's `variants` as **one** grid, and compares every variant with
+/// its own base's baseline: one row per base, in order, and one
+/// comparison per variant. Spanning several bases (benchmarks or seeds),
+/// the grid's misses form one lockstep group per stream, spread over
+/// the worker budget.
+pub fn compare_variants(
+    bases: &[RunConfig],
+    variants: impl Fn(&RunConfig) -> Vec<RunConfig>,
+) -> Vec<Vec<Comparison>> {
+    let rows: Vec<Vec<RunConfig>> = bases.iter().map(variants).collect();
+    let points: Vec<RunConfig> = rows.iter().flatten().cloned().collect();
+    let grid = SimSession::global().resolve_grid(bases, &points);
+    let mut runs = grid.points.iter();
+    rows.iter()
+        .zip(&grid.baselines)
+        .map(|(cfgs, baseline)| {
+            cfgs.iter()
+                .zip(runs.by_ref())
+                .map(|(cfg, run)| compare_with_baseline(cfg, baseline, run))
+                .collect()
+        })
         .collect()
 }
 

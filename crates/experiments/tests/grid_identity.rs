@@ -1,16 +1,19 @@
 //! `SimSession::resolve_grid`'s contract: a grid resolved in lockstep
 //! groups — one interpretation of the stream driving every missing
 //! record's back half — is bit-identical to simulating each record
-//! alone with no caching at all, whatever the group sizes and however
-//! the group mixes CPU, i-cache geometry and leakage policy. The tier
+//! alone with no caching at all, whatever the group sizes, however many
+//! workers fan a group's back halves out, and however the group mixes
+//! CPU, i-cache geometry and leakage policy. The tier
 //! accounting matches the per-point path record for record: one
 //! simulation per miss, none for a hit, a disk save and a push entry for
 //! each simulated record.
 
 use std::path::PathBuf;
+use std::sync::{Once, RwLock};
 
 use dri_core::DriConfig;
-use dri_experiments::harness::{parallel_map, threads};
+use dri_experiments::config::{install, Config};
+use dri_experiments::harness::{granted_workers, hold_workers, threads};
 use dri_experiments::runner::{run_conventional_uncached, run_policy_uncached};
 use dri_experiments::{
     grid_configs, GridRuns, PolicyConfig, RemoteStore, ResultStore, RunConfig, SearchSpace,
@@ -20,6 +23,22 @@ use synth_workload::suite::Benchmark;
 
 mod common;
 use common::{assert_conventional_bit_identical, assert_runs_bit_identical};
+
+/// The worker budget every test here runs under: four, whatever the
+/// host, so groups fan out to one, two, three and four workers.
+const BUDGET: usize = 4;
+
+/// Tests that pin a worker count hold this for writing, so no other
+/// test's reservations narrow their grant; the rest hold it for reading.
+static WORKERS: RwLock<()> = RwLock::new(());
+
+/// Installs the four-worker budget; every test calls this before
+/// anything reads the settings.
+fn settings() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| install(Config::from_vars([("DRI_THREADS", "4")]).0));
+    assert_eq!(threads(), BUDGET);
+}
 
 fn base(benchmark: Benchmark, budget: u64) -> RunConfig {
     let mut cfg = RunConfig::quick(benchmark);
@@ -45,54 +64,65 @@ fn assert_matches_uncached(baselines: &[RunConfig], points: &[RunConfig], grid: 
     }
 }
 
-/// Runs `f` while every other worker of the process budget is held, so
-/// `resolve_grid` inside it is granted one worker and simulates its
-/// misses as few groups as the cap allows.
-fn with_one_worker<R: Send>(f: impl Fn() -> R + Sync) -> R {
-    let slots: Vec<usize> = (0..threads()).collect();
-    parallel_map(&slots, |&i| (i == 0).then(&f))
-        .into_iter()
-        .next()
-        .flatten()
-        .expect("slot 0 ran the closure")
+/// Runs `f` while all but `workers` of the budget is held, so
+/// `resolve_grid` inside it is granted exactly `workers`: one worker
+/// simulates the misses as few groups as the cap allows, one after the
+/// other; more fan the groups' back halves out.
+fn with_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
+    let _held = hold_workers(BUDGET - workers);
+    assert_eq!(
+        granted_workers(usize::MAX),
+        workers,
+        "no other test holds workers"
+    );
+    f()
+}
+
+/// Resolves the grid cold at one to four workers; asserts every width
+/// gives the same records and returns them.
+fn resolve_at_every_width(baselines: &[RunConfig], points: &[RunConfig]) -> GridRuns {
+    let _pinned = WORKERS.write().expect("workers lock");
+    let records = (baselines.len() + points.len()) as u64;
+    let mut widths = (1..=BUDGET).map(|workers| {
+        let session = SimSession::builder().build();
+        let grid = with_workers(workers, || session.resolve_grid(baselines, points));
+        assert_eq!(
+            session.stats().simulations(),
+            records,
+            "{records} cold records"
+        );
+        (workers, grid)
+    });
+    let (_, first) = widths.next().expect("one width at least");
+    for (workers, grid) in widths {
+        for (a, b) in first.baselines.iter().zip(&grid.baselines) {
+            assert_conventional_bit_identical(a, b, &format!("{workers} workers"));
+        }
+        for (a, b) in first.points.iter().zip(&grid.points) {
+            assert_runs_bit_identical(a, b, &format!("{workers} workers"));
+        }
+    }
+    first
 }
 
 #[test]
 fn group_sizes_from_one_to_over_the_cap_match_uncached_runs() {
+    settings();
     let base = base(Benchmark::Li, 40_000);
     let quick = grid_configs(&base, &SearchSpace::quick());
     let standard = grid_configs(&base, &SearchSpace::standard());
     assert_eq!(standard.len(), 28, "28 points + the baseline: over the cap");
     for points in [&[][..], &quick[..1], &quick[..], &standard[..]] {
-        let records = points.len() as u64 + 1;
-        let resolve_cold = |serial: bool| {
-            let session = SimSession::builder().build();
-            let resolve = || session.resolve_grid(std::slice::from_ref(&base), points);
-            let grid = if serial {
-                with_one_worker(resolve)
-            } else {
-                resolve()
-            };
-            assert_eq!(
-                session.stats().simulations(),
-                records,
-                "{records} cold records"
-            );
-            grid
-        };
-        let split = resolve_cold(false);
-        assert_matches_uncached(std::slice::from_ref(&base), points, &split);
-        // The fewest groups the cap allows: the same records.
-        let serial = resolve_cold(true);
-        assert_conventional_bit_identical(&split.baselines[0], &serial.baselines[0], "serial");
-        for (a, b) in split.points.iter().zip(&serial.points) {
-            assert_runs_bit_identical(a, b, "serial point");
-        }
+        // One to four workers: one group (or four capped ones) fanned
+        // across zero to three more threads.
+        let grid = resolve_at_every_width(std::slice::from_ref(&base), points);
+        assert_matches_uncached(std::slice::from_ref(&base), points, &grid);
     }
 }
 
 #[test]
 fn one_group_mixes_baselines_policies_and_geometries() {
+    settings();
     let mut four_way = base(Benchmark::Gcc, 50_000);
     four_way.dri = DriConfig {
         size_bound_bytes: 8 * 1024,
@@ -122,14 +152,15 @@ fn one_group_mixes_baselines_policies_and_geometries() {
         8,
         "exactly one capped group"
     );
-    let session = SimSession::builder().build();
-    let grid = with_one_worker(|| session.resolve_grid(&baselines, &points));
-    assert_eq!(session.stats().simulations(), 8);
+    // Fanned out, every slice mixes i-cache types and geometries.
+    let grid = resolve_at_every_width(&baselines, &points);
     assert_matches_uncached(&baselines, &points, &grid);
 }
 
 #[test]
 fn a_whole_schedule_pass_without_a_budget_matches() {
+    settings();
+    let _shared = WORKERS.read().expect("workers lock");
     let mut base = RunConfig::quick(Benchmark::Compress);
     base.instruction_budget = None;
     let points = grid_configs(&base, &SearchSpace::quick())[..2].to_vec();
@@ -145,6 +176,8 @@ fn a_whole_schedule_pass_without_a_budget_matches() {
 
 #[test]
 fn a_partly_warm_session_simulates_only_its_misses_once() {
+    settings();
+    let _shared = WORKERS.read().expect("workers lock");
     let base = base(Benchmark::Perl, 40_000);
     let grid_cfgs = grid_configs(&base, &SearchSpace::quick());
     let session = SimSession::builder().timed(true).build();
@@ -197,6 +230,8 @@ fn temp_root(tag: &str) -> PathBuf {
 
 #[test]
 fn simulated_records_persist_and_reload_bit_identically() {
+    settings();
+    let _shared = WORKERS.read().expect("workers lock");
     let root = temp_root("store");
     let base = base(Benchmark::Swim, 40_000);
     let points = grid_configs(&base, &SearchSpace::quick());
@@ -227,6 +262,8 @@ fn simulated_records_persist_and_reload_bit_identically() {
 
 #[test]
 fn every_simulated_record_is_offered_for_push() {
+    settings();
+    let _shared = WORKERS.read().expect("workers lock");
     let base = base(Benchmark::Li, 30_000);
     let points = grid_configs(&base, &SearchSpace::quick());
     // Nothing listens on port 1: the push fails fast and never blocks.

@@ -1,16 +1,34 @@
-//! A panicking `parallel_map` must hand its workers back to the
-//! process-wide budget: otherwise every later fan-out in the process is
-//! granted fewer workers, or silently runs inline on the caller.
+//! A panicking fan-out must hand its workers back to the process-wide
+//! budget: otherwise every later fan-out in the process is granted fewer
+//! workers, or silently runs inline on the caller. That holds for a
+//! `parallel_map` and for a lockstep group fanned across back-half
+//! threads.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, Once};
 use std::thread::{self, ThreadId};
 
-use dri_experiments::harness::parallel_map;
+use dri_experiments::config::{install, Config};
+use dri_experiments::harness::{granted_workers, parallel_map, threads};
+use dri_experiments::{grid_configs, RunConfig, SearchSpace, SimSession};
+use synth_workload::suite::Benchmark;
+
+/// Both tests move the budget; they take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// A three-worker budget, installed before anything reads the settings.
+fn settings() {
+    static INSTALL: Once = Once::new();
+    INSTALL.call_once(|| install(Config::from_vars([("DRI_THREADS", "3")]).0));
+    assert_eq!(threads(), 3);
+}
 
 #[test]
 fn a_panicking_map_returns_its_workers_to_the_budget() {
-    // Before the first configuration read, so the budget is two workers.
-    std::env::set_var("DRI_THREADS", "2");
+    settings();
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let panicked = catch_unwind(AssertUnwindSafe(|| {
         parallel_map(&[1u32, 2], |&i| -> u32 { panic!("worker {i} fails") })
     }));
@@ -23,4 +41,35 @@ fn a_panicking_map_returns_its_workers_to_the_budget() {
         ran_on.iter().all(|&id| id != caller),
         "after a panic the map ran inline: its budget leaked"
     );
+}
+
+#[test]
+fn a_panic_inside_a_fanned_group_returns_every_reserved_worker() {
+    settings();
+    let _serial = SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let mut base = RunConfig::quick(Benchmark::Li);
+    base.instruction_budget = Some(20_000);
+    let points = grid_configs(&base, &SearchSpace::quick());
+    // Seven records, one group, three workers: two back-half threads own
+    // the baseline and the first four points, the front half's thread
+    // the last two. Break a record in each kind of slice.
+    for broken in [0, points.len() - 1] {
+        let mut points = points.clone();
+        points[broken].cpu.rob_entries = 0;
+        let session = SimSession::builder().build();
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            session.resolve_grid(std::slice::from_ref(&base), &points)
+        }));
+        assert!(
+            panicked.is_err(),
+            "point {broken}: the panic reaches the caller"
+        );
+        assert_eq!(
+            granted_workers(usize::MAX),
+            threads(),
+            "point {broken}: a worker of the fanned group leaked"
+        );
+    }
 }
