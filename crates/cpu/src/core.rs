@@ -46,6 +46,16 @@
 //! group instead of once per configuration. Each back half's counters
 //! depend only on its own configuration and the stream, so a record is
 //! bit-identical whichever group it runs in.
+//!
+//! ## Timing classes
+//!
+//! A back half's timing state depends on the i-cache only through its
+//! block size, its hit latency and the outcomes of its accesses, and
+//! every call into the i-cache takes its arguments from the stream and
+//! the timing state. So i-caches that have answered alike so far share
+//! one timing state exactly: a [`BackHalf`] times one i-cache and
+//! carries *followers* that see the same calls, and splits them off at
+//! their first disagreeing access (see [`BackHalf`]).
 
 use crate::bpred::{HybridPredictor, PredictorConfig};
 use crate::config::CpuConfig;
@@ -63,21 +73,11 @@ use synth_workload::program::Program;
 /// back half of a group reads it.
 pub const BATCH: usize = 4096;
 
-/// Most back halves one front half drives. With kilobyte booking rings
-/// the cap no longer bounds ring memory; it bounds how many back halves
-/// (each with its own data hierarchy) a group keeps live. On a 2-CPU
-/// host, a paper-scale gcc search (29 records, 2 workers, three runs
-/// per cap) took 6.7–7.9 s at cap 8, 5.5–7.1 s at 16 and 6.3–7.1 s at
-/// 29, at 17 MiB peak RSS against 26 MiB for either larger cap. Neither
-/// larger cap was fastest in every run (they tied in one), so the cap
-/// stays 8: a paper-scale search runs as four groups of at most 8.
-pub const MAX_BACK_HALVES: usize = 8;
-
 /// Initial length of the booking rings, in cycles. The live window of a
 /// booking — from the instruction's dispatch floor to its issue cycle —
 /// never exceeded ~134 cycles on any quick benchmark, so a ring this
 /// size (8 KiB) rarely grows; when a window reaches the length, every
-/// ring of the back half doubles (see [`BackHalf::grow_rings`]).
+/// ring of the back half doubles (see [`Timing::grow_rings`]).
 const RING: usize = 1 << 10;
 
 /// Per-cycle resource booking in a power-of-two ring.
@@ -89,9 +89,9 @@ const RING: usize = 1 << 10;
 ///
 /// Keying by the whole cycle makes every probe exact; only a booking can
 /// lose information, by overwriting a *live* entry whose cycle shares
-/// the slot. [`BackHalf::time`] rules that out by keeping every booking
+/// the slot. [`Timing::time`] rules that out by keeping every booking
 /// within one ring length of the dispatch floor.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct SlotRing {
     slots: Vec<u64>,
     mask: usize,
@@ -354,12 +354,14 @@ struct ClassInfo {
     unconstrained: bool,
 }
 
-/// The timing half of one configuration: i-cache (the experimental
-/// variable), data hierarchy, fetch state, scheduling state and counters.
-#[derive(Debug)]
-pub struct BackHalf<IC: InstCache> {
+/// The timing state of a back half: everything but its i-caches. It
+/// depends only on the event stream, the CPU and hierarchy
+/// configurations, the i-cache's block size and hit latency, and the
+/// outcomes of the i-cache's accesses, so i-caches that have answered
+/// alike so far can share one.
+#[derive(Debug, Clone)]
+struct Timing {
     cfg: CpuConfig,
-    icache: IC,
     hierarchy: Hierarchy,
     // Fetch state.
     cur_cycle: u64,
@@ -388,16 +390,160 @@ pub struct BackHalf<IC: InstCache> {
     stats: CpuStats,
 }
 
+/// The timing half of a class of configurations that share a CPU, a
+/// data hierarchy, an i-cache block size and hit latency: one timing
+/// state, the i-cache it times (the experimental variable) and its
+/// *followers*, the i-caches that have agreed with it on every access so
+/// far.
+///
+/// Every call a back half makes into an i-cache — `access(pc, cycle)`,
+/// `retire_instructions(1, commit)`, `finish(last_commit)` — takes its
+/// arguments from the stream and the timing state, so i-caches that
+/// have answered alike receive identical calls and the shared timing
+/// state is exactly each one's own. Each follower is probed with the
+/// same arguments as the leader; at the first access where some answer
+/// differently, those followers (who agree with each other: the outcome
+/// is a boolean) leave with a copy of the timing state taken before the
+/// access's effects, as a new back half that [`Self::consume`] returns.
+/// A back half without followers is the single-configuration case
+/// [`Core::run`] drives.
+#[derive(Debug)]
+pub struct BackHalf<IC: InstCache> {
+    timing: Timing,
+    icache: IC,
+    followers: Vec<IC>,
+}
+
+/// A class split off mid-batch: its timing state, its i-caches (the
+/// first leads), the batch index of the event it resumes at, and that
+/// event's fetch outcome.
+struct Fork<IC> {
+    timing: Timing,
+    icaches: Vec<IC>,
+    at: usize,
+    hit: bool,
+}
+
 impl<IC: InstCache> BackHalf<IC> {
     /// Builds the timing state for one configuration.
     pub fn new(cfg: CpuConfig, icache: IC, hierarchy: HierarchyConfig) -> Self {
-        Self::with_ring_len(cfg, icache, hierarchy, RING)
+        Self::with_followers(cfg, icache, Vec::new(), hierarchy)
     }
 
-    /// [`Self::new`] with booking rings that start at `ring_len` slots.
+    /// Builds one timing state shared by `icache` and `followers`, which
+    /// must all have `icache`'s block size and hit latency.
+    pub fn with_followers(
+        cfg: CpuConfig,
+        icache: IC,
+        followers: Vec<IC>,
+        hierarchy: HierarchyConfig,
+    ) -> Self {
+        Self::with_ring_len(cfg, icache, followers, hierarchy, RING)
+    }
+
+    /// [`Self::with_followers`] with booking rings that start at
+    /// `ring_len` slots.
     fn with_ring_len(
         cfg: CpuConfig,
         icache: IC,
+        followers: Vec<IC>,
+        hierarchy: HierarchyConfig,
+        ring_len: usize,
+    ) -> Self {
+        for f in &followers {
+            assert!(
+                f.block_bytes() == icache.block_bytes() && f.hit_latency() == icache.hit_latency(),
+                "a follower shares its leader's block size and hit latency"
+            );
+        }
+        BackHalf {
+            timing: Timing::new(cfg, &icache, hierarchy, ring_len),
+            icache,
+            followers,
+        }
+    }
+
+    /// The i-cache under test (the leader of the class).
+    pub fn icache(&self) -> &IC {
+        &self.icache
+    }
+
+    /// The i-caches that have agreed with [`Self::icache`] on every
+    /// access so far.
+    pub fn followers(&self) -> &[IC] {
+        &self.followers
+    }
+
+    /// The data-side hierarchy.
+    pub fn hierarchy(&self) -> &Hierarchy {
+        &self.timing.hierarchy
+    }
+
+    /// Timing counters accumulated so far.
+    pub fn stats(&self) -> &CpuStats {
+        &self.timing.stats
+    }
+
+    /// Times every instruction of `batch`, in order, and returns the
+    /// classes that split off during it (each has timed the whole batch
+    /// too). A back half without followers never splits.
+    #[must_use = "a split-off class carries the records of its i-caches"]
+    pub fn consume(&mut self, batch: &[Event]) -> Vec<BackHalf<IC>> {
+        let mut pending = Vec::new();
+        self.time_from(batch, 0, None, &mut pending);
+        let mut forks = Vec::new();
+        while let Some(fork) = pending.pop() {
+            let mut icaches = fork.icaches.into_iter();
+            let mut back = BackHalf {
+                timing: fork.timing,
+                icache: icaches.next().expect("a fork has an i-cache"),
+                followers: icaches.collect(),
+            };
+            back.time_from(batch, fork.at, Some(fork.hit), &mut pending);
+            forks.push(back);
+        }
+        forks
+    }
+
+    /// Times `batch[start..]`; the first event's fetch outcome is
+    /// `forced` when the class resumes from a split.
+    fn time_from(
+        &mut self,
+        batch: &[Event],
+        start: usize,
+        forced: Option<bool>,
+        pending: &mut Vec<Fork<IC>>,
+    ) {
+        let (icache, followers) = (&mut self.icache, &mut self.followers);
+        let mut at = start;
+        if forced.is_some() {
+            self.timing
+                .time(&batch[at], icache, followers, forced, at, pending);
+            at += 1;
+        }
+        for e in &batch[at..] {
+            self.timing.time(e, icache, followers, None, at, pending);
+            at += 1;
+        }
+    }
+
+    /// Closes out the run so far: the cycle count is the last commit, and
+    /// every i-cache of the class settles its time-integrated accounting.
+    pub fn finish(&mut self) -> CpuStats {
+        let t = &mut self.timing;
+        t.stats.cycles = t.last_commit;
+        self.icache.finish(t.last_commit);
+        for f in &mut self.followers {
+            f.finish(t.last_commit);
+        }
+        t.stats
+    }
+}
+
+impl Timing {
+    fn new<IC: InstCache>(
+        cfg: CpuConfig,
+        icache: &IC,
         hierarchy: HierarchyConfig,
         ring_len: usize,
     ) -> Self {
@@ -413,8 +559,7 @@ impl<IC: InstCache> BackHalf<IC> {
                 unconstrained: cfg.pool_size(class) >= cfg.issue_width,
             };
         }
-        BackHalf {
-            icache,
+        Timing {
             hierarchy: Hierarchy::new(hierarchy),
             cur_cycle: 0,
             group_count: cfg.fetch_width, // force a fresh group immediately
@@ -441,36 +586,6 @@ impl<IC: InstCache> BackHalf<IC> {
         }
     }
 
-    /// The i-cache under test.
-    pub fn icache(&self) -> &IC {
-        &self.icache
-    }
-
-    /// The data-side hierarchy.
-    pub fn hierarchy(&self) -> &Hierarchy {
-        &self.hierarchy
-    }
-
-    /// Timing counters accumulated so far.
-    pub fn stats(&self) -> &CpuStats {
-        &self.stats
-    }
-
-    /// Times every instruction of `batch`, in order.
-    pub fn consume(&mut self, batch: &[Event]) {
-        for e in batch {
-            self.time(e);
-        }
-    }
-
-    /// Closes out the run so far: the cycle count is the last commit, and
-    /// the i-cache settles its time-integrated accounting.
-    pub fn finish(&mut self) -> CpuStats {
-        self.stats.cycles = self.last_commit;
-        self.icache.finish(self.last_commit);
-        self.stats
-    }
-
     /// Rebuilds every booking ring at the smallest power-of-two length
     /// above `window`, keeping the entries at or after `floor`.
     ///
@@ -490,9 +605,61 @@ impl<IC: InstCache> BackHalf<IC> {
         }
     }
 
-    /// Times one committed instruction.
-    #[inline]
-    fn time(&mut self, e: &Event) {
+    /// Probes every follower with the leader's access `(pc, cycle)`.
+    /// Followers whose outcome differs from the leader's `hit` leave for
+    /// `pending` as one class with a copy of this state, which is still
+    /// the state from before the access's effects. Kept out of line so a
+    /// class without followers pays one branch per fetch group.
+    #[inline(never)]
+    fn probe<IC: InstCache>(
+        &self,
+        followers: &mut Vec<IC>,
+        pc: u64,
+        cycle: u64,
+        hit: bool,
+        at: usize,
+        pending: &mut Vec<Fork<IC>>,
+    ) {
+        let mut split = Vec::new();
+        let mut i = 0;
+        while i < followers.len() {
+            if followers[i].access(pc, cycle) == hit {
+                i += 1;
+            } else {
+                split.push(followers.remove(i));
+            }
+        }
+        if !split.is_empty() {
+            pending.push(Fork {
+                timing: self.clone(),
+                icaches: split,
+                at,
+                hit: !hit,
+            });
+        }
+    }
+
+    /// Times one committed instruction, event `at` of its batch, for
+    /// `icache` and its `followers`. `forced` is the outcome of the
+    /// instruction's fetch access when the class resumes from a split
+    /// (every one of its i-caches made that access already). Followers
+    /// that answer the access differently from `icache` are removed and
+    /// pushed onto `pending` with a copy of the state before the
+    /// access's effects.
+    ///
+    /// Always inlined: [`BackHalf::time_from`] calls it from two sites,
+    /// and left to the inliner a single-configuration `Core::run`
+    /// measured 4–10% slower than with the body inlined into its loop.
+    #[inline(always)]
+    fn time<IC: InstCache>(
+        &mut self,
+        e: &Event,
+        icache: &mut IC,
+        followers: &mut Vec<IC>,
+        forced: Option<bool>,
+        at: usize,
+        pending: &mut Vec<Fork<IC>>,
+    ) {
         // --- Fetch -----------------------------------------------------
         let block = e.pc >> self.block_bits;
         if self.force_new_group
@@ -505,7 +672,16 @@ impl<IC: InstCache> BackHalf<IC> {
             let mut c = (self.cur_cycle + 1)
                 .max(self.next_fetch_floor)
                 .max(rob_free);
-            let hit = self.icache.access(e.pc, c);
+            let hit = match forced {
+                Some(hit) => hit,
+                None => {
+                    let hit = icache.access(e.pc, c);
+                    if !followers.is_empty() {
+                        self.probe(followers, e.pc, c, hit, at, pending);
+                    }
+                    hit
+                }
+            };
             if !hit {
                 let fill = self.hierarchy.inst_fill(e.pc);
                 self.stats.icache_stall_cycles += fill;
@@ -599,7 +775,10 @@ impl<IC: InstCache> BackHalf<IC> {
                 self.lsq_cursor = 0;
             }
         }
-        self.icache.retire_instructions(1, commit);
+        icache.retire_instructions(1, commit);
+        for f in followers.iter_mut() {
+            f.retire_instructions(1, commit);
+        }
         self.stats.instructions += 1;
     }
 }
@@ -657,7 +836,10 @@ impl<'p, IC: InstCache> Core<'p, IC> {
     /// inspected afterwards for cache/predictor detail.
     pub fn run(&mut self, budget: u64) -> RunResult {
         let back = &mut self.back;
-        self.front.drive(budget, |batch| back.consume(batch));
+        self.front.drive(budget, |batch| {
+            let forks = back.consume(batch);
+            debug_assert!(forks.is_empty(), "a class of one never splits");
+        });
         RunResult {
             stats: self.back.finish(),
             bpred_accuracy: self.front.predictor().stats().accuracy(),
@@ -854,8 +1036,8 @@ mod tests {
             HierarchyConfig::hpca01(),
         );
         let driven = front.drive(budget, |batch| {
-            wide.consume(batch);
-            thin.consume(batch);
+            assert!(wide.consume(batch).is_empty());
+            assert!(thin.consume(batch).is_empty());
         });
         assert_eq!(driven, budget);
         for (back, cfg) in [(&mut wide, CpuConfig::hpca01()), (&mut thin, narrow)] {
@@ -910,11 +1092,12 @@ mod tests {
             let mut back = BackHalf::with_ring_len(
                 cfg,
                 ConventionalICache::hpca01(),
+                Vec::new(),
                 HierarchyConfig::hpca01(),
                 ring_len,
             );
-            front.drive(30_000, |batch| back.consume(batch));
-            (back.finish(), back.issue_slots.len())
+            front.drive(30_000, |batch| assert!(back.consume(batch).is_empty()));
+            (back.finish(), back.timing.issue_slots.len())
         };
         let (grown, grown_len) = run(RING);
         assert!(grown_len > RING, "the window outgrew {RING} slots");

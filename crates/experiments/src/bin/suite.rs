@@ -432,9 +432,10 @@ fn main() -> ExitCode {
     }
     let stats = session.stats();
     eprintln!(
-        "  total {:.2}s; session: {} simulations, {} memory hits, {} disk hits, {} remote hits, {} workloads generated",
+        "  total {:.2}s; session: {} simulations ({} timing runs), {} memory hits, {} disk hits, {} remote hits, {} workloads generated",
         suite_span.finish("done").as_secs_f64(),
         stats.simulations(),
+        stats.timing_runs,
         stats.baseline_hits + stats.dri_hits,
         stats.disk_hits(),
         stats.remote_hits(),

@@ -15,9 +15,10 @@
 //! accounting.
 //!
 //! Every simulation goes through `simulate_group`: one front half
-//! (interpreter + branch predictor) drives the back halves of any number
-//! of records that share a committed stream. A single run is the group of
-//! one; [`crate::session::SimSession::resolve_grid`] groups a grid's
+//! (interpreter + branch predictor) drives the timing classes of any
+//! number of records that share a committed stream — records whose
+//! i-caches have answered alike so far share one timing state. A single
+//! run is the group of one; [`crate::session::SimSession::resolve_grid`] groups a grid's
 //! misses so each stream is interpreted once per group, not once per
 //! record. [`run_policy`] is the generic entry point; [`run_dri`]
 //! remains as the DRI-flavoured alias the original figures call.
@@ -27,12 +28,15 @@ use cache_sim::hierarchy::HierarchyConfig;
 use cache_sim::icache::{ConventionalICache, InstCache};
 use cache_sim::policy::LeakagePolicy;
 use cache_sim::stats::CacheStats;
-use dri_core::{DriConfig, DriICache, PolicyConfig};
+use dri_core::{
+    DecayICache, DriConfig, DriICache, PolicyConfig, WayMemoICache, WayResizableICache,
+};
 use energy_model::accounting::{breakdown, energy_delay, EnergyBreakdown, RunCounts};
 use energy_model::params::EnergyParams;
 use ooo_cpu::config::CpuConfig;
 use ooo_cpu::core::{BackHalf, Event, FrontHalf};
 use ooo_cpu::stats::CpuStats;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use synth_workload::suite::Benchmark;
 
@@ -240,154 +244,342 @@ impl Record {
     }
 }
 
-/// One back half of a lockstep group, behind the one dynamic call per
-/// batch that lets a group mix i-cache types.
-trait Member: Send {
-    fn consume(&mut self, batch: &[Event]);
-    /// Closes out the run and reads its record.
-    fn record(&mut self, bpred_accuracy: f64) -> Record;
+/// The i-cache models a lockstep group can time, behind static
+/// dispatch so that a baseline and any policy can share a timing class.
+enum Model {
+    Conventional(ConventionalICache),
+    Dri(DriICache),
+    Decay(DecayICache),
+    WayResize(WayResizableICache),
+    WayMemo(WayMemoICache),
 }
 
-struct BaselineMember(BackHalf<ConventionalICache>);
+/// Evaluates `$call` with `$cache` bound to whichever model `$model`
+/// holds.
+macro_rules! dispatch {
+    ($model:expr, $cache:ident => $call:expr) => {
+        match $model {
+            Model::Conventional($cache) => $call,
+            Model::Dri($cache) => $call,
+            Model::Decay($cache) => $call,
+            Model::WayResize($cache) => $call,
+            Model::WayMemo($cache) => $call,
+        }
+    };
+}
 
-impl Member for BaselineMember {
-    fn consume(&mut self, batch: &[Event]) {
-        self.0.consume(batch);
+impl Model {
+    /// The i-cache `job` times: the baseline geometry, or the i-cache
+    /// the configuration's resolved policy selects.
+    fn new(job: Job<'_>) -> Self {
+        match job {
+            Job::Baseline(cfg) => {
+                Model::Conventional(ConventionalICache::new(cfg.baseline_icache()))
+            }
+            Job::Policy(cfg) => match cfg.resolved_policy() {
+                PolicyConfig::Dri(dri) => Model::Dri(DriICache::new(dri)),
+                PolicyConfig::Decay(decay) => Model::Decay(DecayICache::new(decay)),
+                PolicyConfig::WayResize(way) => Model::WayResize(WayResizableICache::new(way)),
+                PolicyConfig::WayMemo(memo) => Model::WayMemo(WayMemoICache::new(memo)),
+            },
+        }
+    }
+}
+
+impl InstCache for Model {
+    #[inline]
+    fn access(&mut self, addr: u64, cycle: u64) -> bool {
+        dispatch!(self, cache => cache.access(addr, cycle))
     }
 
-    fn record(&mut self, bpred_accuracy: f64) -> Record {
-        let timing = self.0.finish();
+    fn hit_latency(&self) -> u64 {
+        dispatch!(self, cache => cache.hit_latency())
+    }
+
+    fn block_bytes(&self) -> u64 {
+        dispatch!(self, cache => cache.block_bytes())
+    }
+
+    #[inline]
+    fn retire_instructions(&mut self, n: u64, cycle: u64) {
+        dispatch!(self, cache => cache.retire_instructions(n, cycle))
+    }
+
+    fn finish(&mut self, cycle: u64) {
+        dispatch!(self, cache => cache.finish(cycle))
+    }
+
+    fn stats(&self) -> &CacheStats {
+        dispatch!(self, cache => cache.stats())
+    }
+}
+
+/// An i-cache a lockstep group can time: it reads its record out of a
+/// finished run.
+trait Recorded: InstCache + Send {
+    /// The record of a finished run this cache took part in.
+    fn record(&self, timing: CpuStats, l2_inst_accesses: u64, bpred_accuracy: f64) -> Record;
+}
+
+impl Recorded for ConventionalICache {
+    fn record(&self, timing: CpuStats, l2_inst_accesses: u64, bpred_accuracy: f64) -> Record {
         Record::Baseline(ConventionalRun {
             timing,
-            icache: *self.0.icache().stats(),
-            l2_inst_accesses: self.0.hierarchy().l2_inst_accesses(),
+            icache: *self.stats(),
+            l2_inst_accesses,
             bpred_accuracy,
         })
     }
 }
 
-/// Every leakage policy's back half: the run summary is read through the
-/// [`LeakagePolicy`] accounting surface, so every model produces the same
-/// [`DriRun`] shape.
-struct PolicyMember<IC: InstCache>(BackHalf<IC>);
-
-impl<IC: InstCache + LeakagePolicy + Send> Member for PolicyMember<IC> {
-    fn consume(&mut self, batch: &[Event]) {
-        self.0.consume(batch);
-    }
-
-    fn record(&mut self, bpred_accuracy: f64) -> Record {
-        let timing = self.0.finish();
-        let cache = self.0.icache();
-        Record::Policy(DriRun {
-            timing,
-            icache: *cache.stats(),
-            dri: DriSummary {
-                avg_active_fraction: cache.avg_active_fraction(),
-                avg_size_bytes: cache.avg_size_bytes(),
-                final_size_bytes: cache.active_size_bytes(),
-                resizes: cache.resizes() as usize,
-                intervals: cache.intervals(),
-                resizing_bits: cache.resizing_tag_bits(),
-            },
-            l2_inst_accesses: self.0.hierarchy().l2_inst_accesses(),
-            bpred_accuracy,
-        })
-    }
-}
-
-fn policy_member<IC: InstCache + LeakagePolicy + Send + 'static>(
-    cfg: &RunConfig,
-    icache: IC,
-) -> Box<dyn Member> {
-    Box::new(PolicyMember(BackHalf::new(cfg.cpu, icache, cfg.hierarchy)))
-}
-
-/// Builds the back half a job times: the baseline geometry, or the
-/// i-cache `cfg`'s resolved policy selects.
-fn member(job: Job<'_>) -> Box<dyn Member> {
-    match job {
-        Job::Baseline(cfg) => Box::new(BaselineMember(BackHalf::new(
-            cfg.cpu,
-            ConventionalICache::new(cfg.baseline_icache()),
-            cfg.hierarchy,
-        ))),
-        Job::Policy(cfg) => match cfg.resolved_policy() {
-            PolicyConfig::Dri(dri) => policy_member(cfg, DriICache::new(dri)),
-            PolicyConfig::Decay(decay) => policy_member(cfg, dri_core::DecayICache::new(decay)),
-            PolicyConfig::WayResize(way) => {
-                policy_member(cfg, dri_core::WayResizableICache::new(way))
+/// Every leakage policy's record is read through the [`LeakagePolicy`]
+/// accounting surface, so every model produces the same [`DriRun`]
+/// shape.
+macro_rules! policy_recorded {
+    ($($policy:ty),*) => {$(
+        impl Recorded for $policy {
+            fn record(
+                &self,
+                timing: CpuStats,
+                l2_inst_accesses: u64,
+                bpred_accuracy: f64,
+            ) -> Record {
+                Record::Policy(DriRun {
+                    timing,
+                    icache: *self.stats(),
+                    dri: DriSummary {
+                        avg_active_fraction: self.avg_active_fraction(),
+                        avg_size_bytes: self.avg_size_bytes(),
+                        final_size_bytes: self.active_size_bytes(),
+                        resizes: self.resizes() as usize,
+                        intervals: self.intervals(),
+                        resizing_bits: self.resizing_tag_bits(),
+                    },
+                    l2_inst_accesses,
+                    bpred_accuracy,
+                })
             }
-            PolicyConfig::WayMemo(memo) => policy_member(cfg, dri_core::WayMemoICache::new(memo)),
-        },
+        }
+    )*};
+}
+
+policy_recorded!(DriICache, DecayICache, WayResizableICache, WayMemoICache);
+
+impl Recorded for Model {
+    fn record(&self, timing: CpuStats, l2_inst_accesses: u64, bpred_accuracy: f64) -> Record {
+        dispatch!(self, cache => cache.record(timing, l2_inst_accesses, bpred_accuracy))
     }
+}
+
+/// One record's i-cache in a timing class, with its job's index in the
+/// group.
+struct Tagged<C> {
+    job: usize,
+    cache: C,
+}
+
+impl<C: InstCache> InstCache for Tagged<C> {
+    #[inline]
+    fn access(&mut self, addr: u64, cycle: u64) -> bool {
+        self.cache.access(addr, cycle)
+    }
+
+    fn hit_latency(&self) -> u64 {
+        self.cache.hit_latency()
+    }
+
+    fn block_bytes(&self) -> u64 {
+        self.cache.block_bytes()
+    }
+
+    #[inline]
+    fn retire_instructions(&mut self, n: u64, cycle: u64) {
+        self.cache.retire_instructions(n, cycle);
+    }
+
+    fn finish(&mut self, cycle: u64) {
+        self.cache.finish(cycle);
+    }
+
+    fn stats(&self) -> &CacheStats {
+        self.cache.stats()
+    }
+}
+
+/// A timing class before its timing state is built: the CPU and
+/// hierarchy it times under and its i-caches (the first leads).
+struct ClassSpec<C> {
+    cpu: CpuConfig,
+    hierarchy: HierarchyConfig,
+    icaches: Vec<Tagged<C>>,
+}
+
+impl<C: InstCache> ClassSpec<C> {
+    fn build(self) -> BackHalf<Tagged<C>> {
+        let mut icaches = self.icaches.into_iter();
+        let leader = icaches.next().expect("a class has an i-cache");
+        BackHalf::with_followers(self.cpu, leader, icaches.collect(), self.hierarchy)
+    }
+}
+
+/// The initial timing classes of `jobs`: jobs whose i-caches share a
+/// CPU, a hierarchy, a block size and a hit latency, in first-seen
+/// order. Those are the inputs of a back half's timing state besides
+/// the stream and the access outcomes.
+fn classes<C: InstCache>(jobs: Vec<(&RunConfig, C)>) -> Vec<ClassSpec<C>> {
+    let mut classes: Vec<ClassSpec<C>> = Vec::new();
+    for (job, (cfg, cache)) in jobs.into_iter().enumerate() {
+        let (block, latency) = (cache.block_bytes(), cache.hit_latency());
+        let shares = |class: &&mut ClassSpec<C>| {
+            let lead = &class.icaches[0];
+            class.cpu == cfg.cpu
+                && class.hierarchy == cfg.hierarchy
+                && lead.block_bytes() == block
+                && lead.hit_latency() == latency
+        };
+        let cache = Tagged { job, cache };
+        match classes.iter_mut().find(shares) {
+            Some(class) => class.icaches.push(cache),
+            None => classes.push(ClassSpec {
+                cpu: cfg.cpu,
+                hierarchy: cfg.hierarchy,
+                icaches: vec![cache],
+            }),
+        }
+    }
+    classes
+}
+
+/// What placement weighs a thread's work by, per batch, in hundredths
+/// of one timing state's cost. Measured over the 15 quick benchmarks
+/// (600K instructions, median of 5 runs each, 2-CPU Xeon KVM guest): a
+/// DRI follower probed and retired alongside its leader costs 9–27% of
+/// the timing state (median 15%), and the front half 42–88% (median
+/// 80%).
+const TIMING_LOAD: usize = 100;
+const FOLLOWER_LOAD: usize = 15;
+const FRONT_LOAD: usize = 80;
+
+/// The load a class of `icaches` i-caches puts on its thread.
+fn class_load(icaches: usize) -> usize {
+    TIMING_LOAD + icaches.saturating_sub(1) * FOLLOWER_LOAD
+}
+
+/// What the front half's thread sends a back-half thread, in stream
+/// order: a batch to time, or a class that split off on the front
+/// thread and has timed every batch sent before it.
+enum Handoff<C: InstCache> {
+    Batch(Arc<Vec<Event>>),
+    Adopt(Box<BackHalf<C>>),
+}
+
+/// What [`simulate_group`] returns.
+pub(crate) struct GroupRun {
+    /// One record per job, in job order.
+    pub(crate) records: Vec<Record>,
+    /// Timing states run: the initial classes plus every split.
+    pub(crate) timing_runs: usize,
 }
 
 /// Simulates every job over one committed stream in lockstep: one front
-/// half interprets and predicts `generated` once, and each job's back
-/// half times every batch. All jobs must share a [`StreamKey`]; records
-/// come back in job order, each bit-identical to simulating its job
-/// alone.
+/// half interprets and predicts `generated` once, and each batch is
+/// timed once per *timing class* — the jobs whose i-caches have answered
+/// every access alike so far ([`BackHalf`]). All jobs must share a
+/// [`StreamKey`]; records come back in job order, each bit-identical to
+/// simulating its job alone.
 ///
-/// With `workers > 1` the back halves are fanned out: up to
-/// `workers − 1` more workers are reserved from the
-/// [`crate::harness`] budget, each owning a disjoint slice of the jobs,
-/// and the front half's thread hands every batch to them as an [`Arc`]
-/// over a bounded channel before timing its own (smallest) slice.
-pub(crate) fn simulate_group(
+/// The jobs start in [`classes`], which split at their first
+/// disagreeing access. With `workers > 1`, up to `workers − 1` more
+/// workers are reserved from the [`crate::harness`] budget as back-half
+/// threads, and the front half's thread hands each batch to them as an
+/// [`Arc`] over a bounded channel. The front thread keeps the class with
+/// the most i-caches (only its splits can move); the other initial
+/// classes go, heaviest first, to the least-loaded thread. A class that
+/// splits off on the front thread goes, after the batch it split in, to
+/// the least-loaded back-half thread when that lowers the front
+/// thread's load; splits on back-half threads stay there.
+fn simulate_group<C: Recorded>(
     generated: &synth_workload::Generated,
-    jobs: &[Job<'_>],
+    jobs: Vec<(&RunConfig, C)>,
     workers: usize,
-) -> Vec<Record> {
-    let Some(first) = jobs.first() else {
-        return Vec::new();
+) -> GroupRun {
+    let Some(&(first, _)) = jobs.first() else {
+        return GroupRun {
+            records: Vec::new(),
+            timing_runs: 0,
+        };
     };
     debug_assert!(
         jobs.iter()
-            .all(|job| stream_key(job.cfg()) == stream_key(first.cfg())),
+            .all(|(cfg, _)| stream_key(cfg) == stream_key(first)),
         "a lockstep group shares one stream"
     );
     let mut front = FrontHalf::new(&generated.program);
-    let budget = budget_for(first.cfg(), generated.cycle_instructions);
-    let reserved = Reserved::up_to(workers.min(jobs.len()).saturating_sub(1));
+    let budget = budget_for(first, generated.cycle_instructions);
+    let n = jobs.len();
+    let reserved = Reserved::up_to(workers.min(n).saturating_sub(1));
 
-    // The front thread takes the smallest slice: ⌊n / w⌋ jobs, the last
-    // ones; the other workers split the rest, widest slices first. With
-    // one worker that is every job, and no thread is spawned.
-    let w = reserved.count() + 1;
-    let (rest, own) = jobs.split_at(jobs.len() - jobs.len() / w);
-    let mut slices = Vec::with_capacity(w - 1);
-    let mut tail = rest;
-    for k in 0..w - 1 {
-        let (slice, after) = tail.split_at(tail.len().div_ceil(w - 1 - k));
-        slices.push(slice);
-        tail = after;
+    let mut specs = classes(jobs);
+    specs.sort_by_key(|class| std::cmp::Reverse(class.icaches.len()));
+    let loads: Vec<AtomicUsize> = (0..reserved.count()).map(|_| AtomicUsize::new(0)).collect();
+    let mut placed: Vec<Vec<ClassSpec<C>>> = (0..reserved.count()).map(|_| Vec::new()).collect();
+    let mut own = Vec::new();
+    let mut front_load = FRONT_LOAD;
+    for (i, spec) in specs.into_iter().enumerate() {
+        let load = class_load(spec.icaches.len());
+        match least_loaded(&loads) {
+            Some((t, least)) if i > 0 && least < front_load => {
+                loads[t].fetch_add(load, Ordering::Relaxed);
+                placed[t].push(spec);
+            }
+            _ => {
+                front_load += load;
+                own.push(spec);
+            }
+        }
     }
+
     std::thread::scope(|scope| {
-        let mut senders = Vec::with_capacity(slices.len());
-        let mut handles = Vec::with_capacity(slices.len());
-        for slice in slices {
-            let (tx, rx) = mpsc::sync_channel::<Arc<Vec<Event>>>(FAN_DEPTH);
+        let mut senders = Vec::with_capacity(placed.len());
+        let mut handles = Vec::with_capacity(placed.len());
+        for (specs, load) in placed.into_iter().zip(&loads) {
+            let (tx, rx) = mpsc::sync_channel::<Handoff<Tagged<C>>>(FAN_DEPTH);
             senders.push(tx);
             handles.push(scope.spawn(move || {
-                let mut members = members(slice);
-                for batch in rx {
-                    for m in &mut members {
-                        m.consume(&batch);
+                let mut classes: Vec<_> = specs.into_iter().map(ClassSpec::build).collect();
+                for handoff in rx {
+                    match handoff {
+                        Handoff::Batch(batch) => {
+                            let splits = consume(&mut classes, &batch);
+                            load.fetch_add(splits.len() * SPLIT_LOAD, Ordering::Relaxed);
+                            classes.extend(splits);
+                        }
+                        Handoff::Adopt(class) => classes.push(*class),
                     }
                 }
-                members
+                classes
             }));
         }
-        let mut members = members(own);
+        let mut classes: Vec<_> = own.into_iter().map(ClassSpec::build).collect();
         front.drive_owned(budget, |batch| {
             let batch = Arc::new(batch);
             for tx in &senders {
-                tx.send(Arc::clone(&batch))
+                tx.send(Handoff::Batch(Arc::clone(&batch)))
                     .expect("a back-half thread hung up");
             }
-            for m in &mut members {
-                m.consume(&batch);
+            for split in consume(&mut classes, &batch) {
+                front_load += SPLIT_LOAD;
+                let load = class_load(split.followers().len() + 1);
+                match least_loaded(&loads) {
+                    Some((t, least)) if least + load < front_load => {
+                        front_load -= load;
+                        loads[t].fetch_add(load, Ordering::Relaxed);
+                        senders[t]
+                            .send(Handoff::Adopt(Box::new(split)))
+                            .expect("a back-half thread hung up");
+                    }
+                    _ => classes.push(split),
+                }
             }
             // A buffer no other thread still holds (always so at one
             // worker) is refilled; otherwise the next batch gets a
@@ -395,38 +587,88 @@ pub(crate) fn simulate_group(
             Arc::try_unwrap(batch).unwrap_or_default()
         });
         drop(senders);
-        let mut out = Vec::with_capacity(jobs.len());
         for handle in handles {
-            let mut slice = handle
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            out.extend(records(&mut slice, &front));
+            classes.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
         }
-        out.extend(records(&mut members, &front));
-        out
+        let accuracy = front.predictor().stats().accuracy();
+        let mut records: Vec<Option<Record>> = vec![None; n];
+        for class in &mut classes {
+            let timing = class.finish();
+            let l2 = class.hierarchy().l2_inst_accesses();
+            for cache in std::iter::once(class.icache()).chain(class.followers()) {
+                records[cache.job] = Some(cache.cache.record(timing, l2, accuracy));
+            }
+        }
+        GroupRun {
+            records: records
+                .into_iter()
+                .map(|record| record.expect("every job belongs to one class"))
+                .collect(),
+            timing_runs: classes.len(),
+        }
     })
+}
+
+/// The load a split adds: one more timing state, one fewer follower.
+const SPLIT_LOAD: usize = TIMING_LOAD - FOLLOWER_LOAD;
+
+/// Times `batch` for every class and returns the classes that split
+/// off.
+fn consume<C: InstCache>(classes: &mut [BackHalf<C>], batch: &[Event]) -> Vec<BackHalf<C>> {
+    let mut splits = Vec::new();
+    for class in classes {
+        splits.extend(class.consume(batch));
+    }
+    splits
+}
+
+/// The back-half thread with the least load, and that load (the first
+/// of a tie).
+fn least_loaded(loads: &[AtomicUsize]) -> Option<(usize, usize)> {
+    loads
+        .iter()
+        .map(|load| load.load(Ordering::Relaxed))
+        .enumerate()
+        .min_by_key(|&(t, load)| (load, t))
 }
 
 /// Batches a fanned-out lockstep group lets queue per back-half thread
 /// before the front half waits for it.
 const FAN_DEPTH: usize = 2;
 
-/// The back halves of `jobs`, in job order.
-fn members(jobs: &[Job<'_>]) -> Vec<Box<dyn Member>> {
-    jobs.iter().map(|&job| member(job)).collect()
+/// Simulates the jobs of one stream in lockstep (see
+/// [`simulate_group`]), each i-cache behind [`Model`]'s static dispatch
+/// so that a baseline and its policies can share timing classes.
+pub(crate) fn simulate_jobs(
+    generated: &synth_workload::Generated,
+    jobs: &[Job<'_>],
+    workers: usize,
+) -> GroupRun {
+    let jobs = jobs
+        .iter()
+        .map(|&job| (job.cfg(), Model::new(job)))
+        .collect();
+    simulate_group(generated, jobs, workers)
 }
 
-/// Closes out every back half of a finished stream.
-fn records(members: &mut [Box<dyn Member>], front: &FrontHalf<'_>) -> Vec<Record> {
-    let accuracy = front.predictor().stats().accuracy();
-    members.iter_mut().map(|m| m.record(accuracy)).collect()
+/// Simulates one job alone, as a class of one whose i-cache is its
+/// model's own type (no per-access dispatch).
+fn simulate_alone(generated: &synth_workload::Generated, job: Job<'_>) -> Record {
+    let cfg = job.cfg();
+    let mut run =
+        dispatch!(Model::new(job), cache => simulate_group(generated, vec![(cfg, cache)], 1));
+    run.records.pop().expect("one record per job")
 }
 
 fn simulate_conventional(
     cfg: &RunConfig,
     generated: &synth_workload::Generated,
 ) -> ConventionalRun {
-    simulate_group(generated, &[Job::Baseline(cfg)], 1)[0].baseline()
+    simulate_alone(generated, Job::Baseline(cfg)).baseline()
 }
 
 /// Simulates the baseline with a session-cached workload but no run
@@ -457,7 +699,7 @@ pub fn run_conventional(cfg: &RunConfig) -> ConventionalRun {
 
 /// Simulates the i-cache `cfg`'s resolved policy selects.
 fn simulate_policy(cfg: &RunConfig, generated: &synth_workload::Generated) -> DriRun {
-    simulate_group(generated, &[Job::Policy(cfg)], 1)[0].policy()
+    simulate_alone(generated, Job::Policy(cfg)).policy()
 }
 
 /// Simulates `cfg`'s resolved policy with a session-cached workload but

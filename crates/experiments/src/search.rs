@@ -132,8 +132,8 @@ pub fn search_benchmark(base: &RunConfig, space: &SearchSpace) -> SearchResult {
 /// not one per benchmark (the per-benchmark prefetch inside
 /// [`search_benchmark`] then finds everything memory-resident and stays
 /// off the network). Inside this fan-out each benchmark's misses form
-/// as few lockstep groups as the cap allows, since the enclosing map
-/// already holds the workers. With push mode on, whatever the campaign
+/// one lockstep group, unfanned, since the enclosing map already holds
+/// the workers. With push mode on, whatever the campaign
 /// had to simulate is pushed upward after the fan-out too (each
 /// per-benchmark grid pushes as it finishes; the final
 /// [`crate::session::push_grid`] drains stragglers).

@@ -40,7 +40,8 @@
 //! [`SimSession::resolve_grid`]: every record is looked up through the
 //! tiers, and the misses that share a committed stream simulate in
 //! lockstep groups — the stream is interpreted and predicted once per
-//! group, and each record's own back half times it. Each simulated record
+//! group, and records whose i-caches answer alike share one timing
+//! state until their first disagreement. Each simulated record
 //! is published exactly as a per-point miss is, so the tiers cannot tell
 //! the two paths apart.
 //!
@@ -124,7 +125,6 @@ use synth_workload::Generated;
 
 use crate::config::config;
 use crate::runner::{stream_key, ConventionalRun, DriRun, Job, Record, RunConfig, StreamKey};
-use ooo_cpu::core::MAX_BACK_HALVES;
 
 /// Identifies a generated workload: the benchmark plus the optional seed
 /// override (`None` = the benchmark's canonical seed).
@@ -213,6 +213,10 @@ pub struct SessionStats {
     pub dri_disk_hits: u64,
     /// Policy runs fetched from the remote service (no simulation ran).
     pub dri_remote_hits: u64,
+    /// Timing states actually run: one per per-point simulation, and in
+    /// a lockstep group one per timing class, initial or split off (see
+    /// [`SimSession::resolve_grid`]). At most [`Self::simulations`].
+    pub timing_runs: u64,
 }
 
 impl SessionStats {
@@ -973,6 +977,7 @@ impl SimSession {
         self.timed("conventional", cfg, || {
             Some(self.conventional_lookup(cfg).unwrap_or_else(|| {
                 let run = crate::runner::run_conventional_fresh_in(self, cfg);
+                self.stats.lock().expect("session stats lock").timing_runs += 1;
                 (self.conventional_publish(cfg, run), "simulate")
             }))
         })
@@ -989,6 +994,7 @@ impl SimSession {
         self.timed(crate::persist::policy_kind(cfg), cfg, || {
             Some(self.policy_lookup(cfg).unwrap_or_else(|| {
                 let run = crate::runner::run_policy_fresh_in(self, cfg);
+                self.stats.lock().expect("session stats lock").timing_runs += 1;
                 (self.policy_publish(cfg, run), "simulate")
             }))
         })
@@ -1140,17 +1146,21 @@ impl SimSession {
     ///    look it up (a repeated record is looked up once; its repeats
     ///    are memory hits afterwards, as they would be point by point).
     /// 3. The misses are grouped by what the front half reads
-    ///    (benchmark, seed override, instruction budget) and each group
-    ///    is simulated in lockstep: one interpretation of the stream
-    ///    drives every record's back half. A stream's `n` misses form
-    ///    `⌈n / MAX_BACK_HALVES⌉` groups, whatever the worker grant. The
-    ///    groups run across [`crate::harness::parallel_map`]; when there
-    ///    are fewer groups than granted workers, each group also gets a
-    ///    share of the leftover grant and fans its back halves out over
-    ///    that many threads, still interpreting the stream once.
+    ///    (benchmark, seed override, instruction budget), one group per
+    ///    stream, and each group is simulated in lockstep: one
+    ///    interpretation of the stream feeds the group's *timing
+    ///    classes*. A class is the records whose i-caches have answered
+    ///    every access alike so far; it shares one timing state and
+    ///    splits at its first disagreeing access. The records start in
+    ///    classes by CPU, hierarchy, i-cache block size and hit latency.
+    ///    The groups run across [`crate::harness::parallel_map`]; when
+    ///    there are fewer groups than granted workers, each group also
+    ///    gets a share of the leftover grant and spreads its classes
+    ///    over that many threads, still interpreting the stream once.
     /// 4. Each simulated record is published exactly as a per-point miss
     ///    is: one `baseline_misses`/`dri_misses`, a disk save, a push
-    ///    buffer entry, and a first-wins memory install.
+    ///    buffer entry, and a first-wins memory install. Each timing
+    ///    state run counts one [`SessionStats::timing_runs`].
     /// 5. With push mode on, whatever was simulated is pushed upward.
     ///
     /// A record depends only on its own configuration and the stream,
@@ -1229,8 +1239,8 @@ impl SimSession {
         grid
     }
 
-    /// Simulates `jobs` in lockstep groups (see [`Self::resolve_grid`]);
-    /// results come back in job order.
+    /// Simulates `jobs` in lockstep groups, one per stream (see
+    /// [`Self::resolve_grid`]); results come back in job order.
     fn simulate_jobs(&self, jobs: &[Job<'_>]) -> Vec<Simulated> {
         // Jobs by stream, in first-seen order.
         let mut streams: Vec<(StreamKey, Vec<usize>)> = Vec::new();
@@ -1241,18 +1251,10 @@ impl SimSession {
                 None => streams.push((key, vec![i])),
             }
         }
-        let sizes: Vec<usize> = streams.iter().map(|(_, members)| members.len()).collect();
-        let mut groups: Vec<(Arc<Generated>, &[usize])> = Vec::new();
-        for ((_, members), count) in streams.iter().zip(group_counts(&sizes)) {
-            let generated = self.workload(jobs[members[0]].cfg());
-            let (size, extra) = (members.len() / count, members.len() % count);
-            let mut rest = members.as_slice();
-            for g in 0..count {
-                let (group, tail) = rest.split_at(size + usize::from(g < extra));
-                groups.push((Arc::clone(&generated), group));
-                rest = tail;
-            }
-        }
+        let groups: Vec<(Arc<Generated>, &[usize])> = streams
+            .iter()
+            .map(|(_, members)| (self.workload(jobs[members[0]].cfg()), members.as_slice()))
+            .collect();
         let widths: Vec<usize> = groups.iter().map(|(_, members)| members.len()).collect();
         let shares = worker_shares(&widths, crate::harness::granted_workers(jobs.len()));
         let groups: Vec<_> = groups.into_iter().zip(shares).collect();
@@ -1262,9 +1264,10 @@ impl SimSession {
             let ts_us = if timed { trace::now_us() } else { 0 };
             let started = Instant::now();
             let group: Vec<Job<'_>> = members.iter().map(|&i| jobs[i]).collect();
-            let records = crate::runner::simulate_group(generated, &group, *workers);
+            let run = crate::runner::simulate_jobs(generated, &group, *workers);
             let share = started.elapsed() / members.len() as u32;
-            records
+            self.stats.lock().expect("session stats lock").timing_runs += run.timing_runs as u64;
+            run.records
                 .into_iter()
                 .map(|record| Simulated {
                     record,
@@ -1285,20 +1288,10 @@ impl SimSession {
     }
 }
 
-/// How many lockstep groups each stream's misses split into, given
-/// `sizes[s]` misses on stream `s`: the fewest that keep every group
-/// within [`MAX_BACK_HALVES`], ⌈n / MAX_BACK_HALVES⌉. The worker grant
-/// does not split a stream further — each extra interpretation of it
-/// would repeat the front half — it fans groups out instead (see
-/// [`worker_shares`]).
-fn group_counts(sizes: &[usize]) -> Vec<usize> {
-    sizes.iter().map(|n| n.div_ceil(MAX_BACK_HALVES)).collect()
-}
-
-/// How many workers each lockstep group of `widths[g]` back halves gets
-/// out of `grant`: one each, then — while a group has fewer workers than
-/// back halves — the leftover grant one at a time to the group with the
-/// most back halves per worker (the first of a tie). With at least as
+/// How many workers each lockstep group of `widths[g]` records gets out
+/// of `grant`: one each, then — while a group has fewer workers than
+/// records — the leftover grant one at a time to the group with the
+/// most records per worker (the first of a tie). With at least as
 /// many groups as the grant, every group gets one worker and the groups
 /// share the grant through [`crate::harness::parallel_map`].
 fn worker_shares(widths: &[usize], grant: usize) -> Vec<usize> {
@@ -1338,27 +1331,43 @@ mod tests {
     use dri_serve::RemoteStore;
 
     #[test]
-    fn streams_split_by_the_cap_and_groups_share_the_grant() {
-        // A quick search (baseline + 6 points) is one group at any grant.
-        assert_eq!(group_counts(&[7]), [1]);
+    fn each_stream_is_one_group_and_groups_share_the_grant() {
+        // A quick search (baseline + 6 points) fans out over its grant.
         assert_eq!(worker_shares(&[7], 1), [1]);
         assert_eq!(worker_shares(&[7], 2), [2]);
         assert_eq!(worker_shares(&[7], 3), [3]);
-        // A paper-scale search (baseline + 28 points): four capped groups
-        // of 8, 7, 7 and 7 back halves.
-        assert_eq!(group_counts(&[29]), [4]);
-        assert_eq!(worker_shares(&[8, 7, 7, 7], 1), [1, 1, 1, 1]);
-        assert_eq!(worker_shares(&[8, 7, 7, 7], 2), [1, 1, 1, 1]);
-        assert_eq!(worker_shares(&[8, 7, 7, 7], 6), [2, 2, 1, 1]);
-        // Never more workers than back halves.
+        // So does a paper-scale search (baseline + 28 points).
+        assert_eq!(worker_shares(&[29], 1), [1]);
+        assert_eq!(worker_shares(&[29], 2), [2]);
+        assert_eq!(worker_shares(&[29], 6), [6]);
+        // Never more workers than records.
         assert_eq!(worker_shares(&[2], 8), [2]);
-        assert_eq!(group_counts(&[]), Vec::<usize>::new());
         assert_eq!(worker_shares(&[], 4), Vec::<usize>::new());
         // Several streams: one group each; the widest fans out first.
-        assert_eq!(group_counts(&[7, 7]), [1, 1]);
         assert_eq!(worker_shares(&[7, 7], 2), [1, 1]);
         assert_eq!(worker_shares(&[7, 7], 3), [2, 1]);
         assert_eq!(worker_shares(&[7, 2], 4), [3, 1]);
+    }
+
+    #[test]
+    fn a_full_size_bound_point_shares_the_baselines_timing_run() {
+        // A DRI cache whose size-bound is the whole cache never resizes,
+        // so it answers every access as the baseline does: two records,
+        // one timing state.
+        let session = SimSession::builder().build();
+        let mut base = RunConfig::quick(Benchmark::Li);
+        base.instruction_budget = Some(100_000);
+        let mut full = base.clone();
+        full.dri.size_bound_bytes = full.dri.max_size_bytes;
+        let grid = session.resolve_grid(std::slice::from_ref(&base), &[full]);
+        let stats = session.stats();
+        assert_eq!(stats.simulations(), 2);
+        assert_eq!(stats.timing_runs, 1);
+        assert_eq!(grid.baselines[0].timing, grid.points[0].timing);
+        // Point by point, every simulation runs its own timing state.
+        let alone = SimSession::builder().build();
+        alone.conventional(&base);
+        assert_eq!(alone.stats().timing_runs, 1);
     }
 
     #[test]

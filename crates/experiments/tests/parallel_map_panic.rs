@@ -52,24 +52,35 @@ fn a_panic_inside_a_fanned_group_returns_every_reserved_worker() {
     let mut base = RunConfig::quick(Benchmark::Li);
     base.instruction_budget = Some(20_000);
     let points = grid_configs(&base, &SearchSpace::quick());
-    // Seven records, one group, three workers: two back-half threads own
-    // the baseline and the first four points, the front half's thread
-    // the last two. Break a record in each kind of slice.
-    for broken in [0, points.len() - 1] {
-        let mut points = points.clone();
-        points[broken].cpu.rob_entries = 0;
+    // Seven records, one group, three workers. A record with a broken
+    // CPU (`rob_entries = 0`) is a timing class of its own: the front
+    // thread keeps the six-record class and the broken one goes to a
+    // back-half thread, which panics building it. With every record
+    // broken, they are one class, which the front thread keeps and
+    // panics building while both back-half threads wait.
+    for every in [false, true] {
+        let place = if every {
+            "on the front thread"
+        } else {
+            "on a back-half thread"
+        };
+        let (mut base, mut points) = (base.clone(), points.clone());
+        points[0].cpu.rob_entries = 0;
+        if every {
+            base.cpu.rob_entries = 0;
+            for point in &mut points {
+                point.cpu.rob_entries = 0;
+            }
+        }
         let session = SimSession::builder().build();
         let panicked = catch_unwind(AssertUnwindSafe(|| {
             session.resolve_grid(std::slice::from_ref(&base), &points)
         }));
-        assert!(
-            panicked.is_err(),
-            "point {broken}: the panic reaches the caller"
-        );
+        assert!(panicked.is_err(), "{place}: the panic reaches the caller");
         assert_eq!(
             granted_workers(usize::MAX),
             threads(),
-            "point {broken}: a worker of the fanned group leaked"
+            "{place}: a worker of the fanned group leaked"
         );
     }
 }

@@ -14,11 +14,26 @@
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use dri_serve::{JournalConfig, RemoteStore, Server};
 use dri_store::{frame_record, Journal, JournalEntry, JournalOptions, ResultStore};
+
+/// The tests of this file take turns. A child `Command::spawn` forks
+/// holds a copy of every descriptor of the test process until it execs,
+/// the journal's lock file included; a test that drops a journal and
+/// reopens its root while another test spawns `dri-serve` can find the
+/// root still locked.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Takes this file's turn lock; a test that panicked holding it leaves
+/// nothing to repair, so a poisoned lock is taken as is.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn temp_root(tag: &str) -> PathBuf {
     let root = std::env::temp_dir().join(format!("dri-journal-crash-{tag}-{}", std::process::id()));
@@ -93,6 +108,7 @@ fn push_one_batch(
 
 #[test]
 fn acked_batches_survive_a_mid_push_crash_and_the_torn_batch_stays_invisible() {
+    let _serial = serial();
     let root = temp_root("kill");
     let token = "crash-proof-secret";
 
@@ -164,6 +180,7 @@ fn acked_batches_survive_a_mid_push_crash_and_the_torn_batch_stays_invisible() {
 
 #[test]
 fn journaled_pushes_read_through_before_and_after_compaction() {
+    let _serial = serial();
     let root = temp_root("readthrough");
     let store = Arc::new(ResultStore::open(&root).expect("open store"));
     let token = "journal-secret";
@@ -233,6 +250,7 @@ fn journaled_pushes_read_through_before_and_after_compaction() {
 
 #[test]
 fn a_default_read_only_server_serves_and_drains_inherited_segments() {
+    let _serial = serial();
     let root = temp_root("inherit");
     let store = Arc::new(ResultStore::open(&root).expect("open store"));
     // A writer acked a batch and died before compacting it: the journal
