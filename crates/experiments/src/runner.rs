@@ -14,14 +14,16 @@
 //! flows through the same memoization, persistence, and energy
 //! accounting.
 //!
-//! Every simulation goes through `simulate_group`: one front half
+//! Every simulation goes through `simulate_jobs`: one front half
 //! (interpreter + branch predictor) drives the timing classes of any
 //! number of records that share a committed stream — records whose
-//! i-caches have answered alike so far share one timing state. A single
-//! run is the group of one; [`crate::session::SimSession::resolve_grid`] groups a grid's
-//! misses so each stream is interpreted once per group, not once per
-//! record. [`run_policy`] is the generic entry point; [`run_dri`]
-//! remains as the DRI-flavoured alias the original figures call.
+//! i-caches have answered alike so far share one timing state. The
+//! session's one record path groups every miss it resolves, a single
+//! point's or a grid's, so each stream is interpreted once per group,
+//! not once per record; a group of one times its i-cache as the model's
+//! own type, with no per-access dispatch. [`run_policy`] is the generic
+//! entry point; [`run_dri`] remains as the DRI-flavoured alias the
+//! original figures call.
 
 use cache_sim::config::CacheConfig;
 use cache_sim::hierarchy::HierarchyConfig;
@@ -229,14 +231,14 @@ pub(crate) enum Record {
 }
 
 impl Record {
-    fn baseline(self) -> ConventionalRun {
+    pub(crate) fn baseline(self) -> ConventionalRun {
         match self {
             Record::Baseline(run) => run,
             Record::Policy(_) => unreachable!("a baseline job yields a baseline record"),
         }
     }
 
-    fn policy(self) -> DriRun {
+    pub(crate) fn policy(self) -> DriRun {
         match self {
             Record::Policy(run) => run,
             Record::Baseline(_) => unreachable!("a policy job yields a policy record"),
@@ -641,13 +643,19 @@ fn least_loaded(loads: &[AtomicUsize]) -> Option<(usize, usize)> {
 const FAN_DEPTH: usize = 2;
 
 /// Simulates the jobs of one stream in lockstep (see
-/// [`simulate_group`]), each i-cache behind [`Model`]'s static dispatch
-/// so that a baseline and its policies can share timing classes.
+/// [`simulate_group`]). Several jobs time their i-caches behind
+/// [`Model`]'s static dispatch, so that a baseline and its policies can
+/// share timing classes; one job is a class of one whose i-cache is its
+/// model's own type (no per-access dispatch).
 pub(crate) fn simulate_jobs(
     generated: &synth_workload::Generated,
     jobs: &[Job<'_>],
     workers: usize,
 ) -> GroupRun {
+    if let &[job] = jobs {
+        let (cfg, model) = (job.cfg(), Model::new(job));
+        return dispatch!(model, cache => simulate_group(generated, vec![(cfg, cache)], 1));
+    }
     let jobs = jobs
         .iter()
         .map(|&job| (job.cfg(), Model::new(job)))
@@ -655,37 +663,13 @@ pub(crate) fn simulate_jobs(
     simulate_group(generated, jobs, workers)
 }
 
-/// Simulates one job alone, as a class of one whose i-cache is its
-/// model's own type (no per-access dispatch).
-fn simulate_alone(generated: &synth_workload::Generated, job: Job<'_>) -> Record {
-    let cfg = job.cfg();
-    let mut run =
-        dispatch!(Model::new(job), cache => simulate_group(generated, vec![(cfg, cache)], 1));
-    run.records.pop().expect("one record per job")
-}
-
-fn simulate_conventional(
-    cfg: &RunConfig,
-    generated: &synth_workload::Generated,
-) -> ConventionalRun {
-    simulate_alone(generated, Job::Baseline(cfg)).baseline()
-}
-
-/// Simulates the baseline with a session-cached workload but no run
-/// memoization (the session calls this on a cache miss).
-pub(crate) fn run_conventional_fresh_in(
-    session: &crate::session::SimSession,
-    cfg: &RunConfig,
-) -> ConventionalRun {
-    simulate_conventional(cfg, &session.workload(cfg))
-}
-
 /// Runs the conventional baseline for `cfg` with no caching at all: the
 /// workload is regenerated and the simulation always executes. This is
 /// the reference the session's bit-identity contract is tested against;
 /// prefer [`run_conventional`] everywhere else.
 pub fn run_conventional_uncached(cfg: &RunConfig) -> ConventionalRun {
-    simulate_conventional(cfg, &generate_workload(cfg))
+    let job = Job::Baseline(cfg);
+    simulate_jobs(&generate_workload(cfg), &[job], 1).records[0].baseline()
 }
 
 /// Runs the conventional baseline for `cfg`.
@@ -697,21 +681,11 @@ pub fn run_conventional(cfg: &RunConfig) -> ConventionalRun {
     crate::session::SimSession::global().conventional(cfg)
 }
 
-/// Simulates the i-cache `cfg`'s resolved policy selects.
-fn simulate_policy(cfg: &RunConfig, generated: &synth_workload::Generated) -> DriRun {
-    simulate_alone(generated, Job::Policy(cfg)).policy()
-}
-
-/// Simulates `cfg`'s resolved policy with a session-cached workload but
-/// no run memoization (the session calls this on a cache miss).
-pub(crate) fn run_policy_fresh_in(session: &crate::session::SimSession, cfg: &RunConfig) -> DriRun {
-    simulate_policy(cfg, &session.workload(cfg))
-}
-
 /// Runs `cfg`'s resolved leakage policy with no caching at all (see
 /// [`run_conventional_uncached`]).
 pub fn run_policy_uncached(cfg: &RunConfig) -> DriRun {
-    simulate_policy(cfg, &generate_workload(cfg))
+    let job = Job::Policy(cfg);
+    simulate_jobs(&generate_workload(cfg), &[job], 1).records[0].policy()
 }
 
 /// Runs `cfg`'s resolved leakage policy — the DRI i-cache unless
@@ -723,13 +697,6 @@ pub fn run_policy_uncached(cfg: &RunConfig) -> DriRun {
 /// over one grid never aliases records.
 pub fn run_policy(cfg: &RunConfig) -> DriRun {
     crate::session::SimSession::global().policy_run(cfg)
-}
-
-/// Runs the DRI i-cache for `cfg` with no caching at all (see
-/// [`run_conventional_uncached`]). Alias of [`run_policy_uncached`] kept
-/// for the original figures; with `policy: None` they are the same run.
-pub fn run_dri_uncached(cfg: &RunConfig) -> DriRun {
-    run_policy_uncached(cfg)
 }
 
 /// Runs the DRI i-cache for `cfg` (alias of [`run_policy`]; see there).

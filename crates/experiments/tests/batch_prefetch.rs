@@ -18,7 +18,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use dri_experiments::runner::{run_dri_uncached, ConventionalRun};
+use dri_experiments::runner::{run_policy_uncached, ConventionalRun};
 use dri_experiments::search::{grid_configs, SearchSpace};
 use dri_experiments::{DriRun, RemoteStore, ResultStore, RunConfig, ShardedStore, SimSession};
 use dri_serve::Server;
@@ -258,7 +258,7 @@ fn partial_miss_prefetch_recomputes_and_heals_only_the_misses() {
     // uncached reference bit for bit.
     for cfg in &grid {
         assert_dri_identical(
-            &run_dri_uncached(cfg),
+            &run_policy_uncached(cfg),
             &worker.policy_run(cfg),
             "partial grid",
         );

@@ -6,7 +6,8 @@
 //! CPU, i-cache geometry and leakage policy. The tier
 //! accounting matches the per-point path record for record: one
 //! simulation per miss, none for a hit, a disk save and a push entry for
-//! each simulated record.
+//! each simulated record — a point-by-point walk and a grid leave the
+//! same counters, store files and push buffer behind.
 
 use std::path::PathBuf;
 use std::sync::{Once, RwLock};
@@ -17,7 +18,7 @@ use dri_experiments::harness::{granted_workers, hold_workers, threads};
 use dri_experiments::runner::{run_conventional_uncached, run_policy_uncached};
 use dri_experiments::{
     grid_configs, GridRuns, PolicyConfig, RemoteStore, ResultStore, RunConfig, SearchSpace,
-    ShardedStore, SimSession,
+    SessionStats, ShardedStore, SimSession,
 };
 use synth_workload::suite::Benchmark;
 
@@ -281,4 +282,77 @@ fn every_simulated_record_is_offered_for_push() {
         7,
         "memory hits are never pushed"
     );
+}
+
+/// Every file under `root`, by path relative to it, with its bytes.
+fn store_files(root: &std::path::Path) -> std::collections::BTreeMap<PathBuf, Vec<u8>> {
+    let mut files = std::collections::BTreeMap::new();
+    let mut dirs = vec![root.to_path_buf()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("read store dir") {
+            let path = entry.expect("store entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else {
+                let bytes = std::fs::read(&path).expect("read store file");
+                let name = path.strip_prefix(root).expect("under root").to_path_buf();
+                files.insert(name, bytes);
+            }
+        }
+    }
+    files
+}
+
+#[test]
+fn a_point_walk_and_a_grid_publish_alike() {
+    settings();
+    let _shared = WORKERS.read().expect("workers lock");
+    let base = base(Benchmark::Li, 30_000);
+    let points = grid_configs(&base, &SearchSpace::quick());
+    // A disk tier and a dead remote with push on: every publishing
+    // side effect is observable.
+    let session_at = |root: &PathBuf| {
+        SimSession::builder()
+            .store(ResultStore::open(root).expect("open store"))
+            .sharded(ShardedStore::single(RemoteStore::new("127.0.0.1:1")))
+            .push(true)
+            .build()
+    };
+
+    // Point by point, as a search walks its grid: each point's pair.
+    let walk_root = temp_root("walk");
+    let walk = session_at(&walk_root);
+    for cfg in &points {
+        let _ = walk.conventional(cfg);
+        let _ = walk.policy_run(cfg);
+    }
+    walk.push_pending();
+
+    // The same records as one grid (every point repeats one baseline).
+    let grid_root = temp_root("grid");
+    let grid = session_at(&grid_root);
+    let _ = grid.resolve_grid(&points, &points);
+
+    // Timing runs and workload hits count per lockstep group, not per
+    // record: a walk runs seven groups of one, the grid one group.
+    let per_record = |stats: SessionStats| SessionStats {
+        timing_runs: 0,
+        workload_hits: 0,
+        ..stats
+    };
+    assert_eq!(per_record(walk.stats()), per_record(grid.stats()));
+    assert_eq!(walk.stats().simulations(), 7, "one baseline + six points");
+    assert_eq!(walk.stats().baseline_hits, 5, "the baseline repeats");
+    assert_eq!(walk.push_stats().attempted, grid.push_stats().attempted);
+    assert_eq!(grid.push_stats().attempted, 7);
+    let (walked, gridded) = (store_files(&walk_root), store_files(&grid_root));
+    assert!(!walked.is_empty(), "simulated records were saved");
+    assert_eq!(
+        walked.keys().collect::<Vec<_>>(),
+        gridded.keys().collect::<Vec<_>>(),
+        "same file names"
+    );
+    assert!(walked == gridded, "same bytes in every file");
+    let _ = std::fs::remove_dir_all(&walk_root);
+    let _ = std::fs::remove_dir_all(&grid_root);
 }

@@ -13,7 +13,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use dri_experiments::runner::{run_conventional_uncached, run_dri_uncached, ConventionalRun};
+use dri_experiments::runner::{run_conventional_uncached, run_policy_uncached, ConventionalRun};
 use dri_experiments::search::SearchSpace;
 use dri_experiments::{DriRun, RemoteStore, ResultStore, RunConfig, ShardedStore, SimSession};
 use dri_serve::Server;
@@ -263,7 +263,11 @@ fn corrupt_served_records_degrade_to_identical_recompute() {
         )))
         .build();
     let dri = worker.policy_run(&cfg);
-    assert_dri_identical(&run_dri_uncached(&cfg), &dri, "recompute after corruption");
+    assert_dri_identical(
+        &run_policy_uncached(&cfg),
+        &dri,
+        "recompute after corruption",
+    );
     let stats = worker.stats();
     assert_eq!(stats.dri_misses, 1, "corrupt remote record re-simulates");
     assert_eq!(stats.dri_remote_hits, 0);
@@ -286,7 +290,7 @@ fn dead_server_degrades_to_local_simulation() {
         .build();
     let dri = worker.policy_run(&cfg);
     assert_dri_identical(
-        &run_dri_uncached(&cfg),
+        &run_policy_uncached(&cfg),
         &dri,
         "simulated despite dead remote",
     );

@@ -15,8 +15,8 @@
 
 use dri_experiments::persist::{baseline_key, policy_key, policy_kind};
 use dri_experiments::runner::{
-    compare_with_baseline, run_conventional, run_conventional_uncached, run_dri, run_dri_uncached,
-    run_policy, run_policy_uncached,
+    compare_with_baseline, run_conventional, run_conventional_uncached, run_dri, run_policy,
+    run_policy_uncached,
 };
 use dri_experiments::sweeps::miss_bound_sweep;
 use dri_experiments::{Comparison, PolicyConfig, RunConfig, SimSession};
@@ -27,7 +27,7 @@ use common::{assert_comparisons_bit_identical, assert_runs_bit_identical};
 
 fn uncached_comparison(cfg: &RunConfig) -> Comparison {
     let baseline = run_conventional_uncached(cfg);
-    let dri = run_dri_uncached(cfg);
+    let dri = run_policy_uncached(cfg);
     compare_with_baseline(cfg, &baseline, &dri)
 }
 
@@ -93,7 +93,7 @@ fn parallel_sweep_matches_serial_uncached_points() {
         let mut cfg = base.clone();
         cfg.dri.miss_bound = mb.max(1);
         let baseline = run_conventional_uncached(&base);
-        let dri = run_dri_uncached(&cfg);
+        let dri = run_policy_uncached(&cfg);
         compare_with_baseline(&cfg, &baseline, &dri)
     };
     assert_comparisons_bit_identical(&point(50), &sweep.half, "mgrid half");

@@ -7,7 +7,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use dri_experiments::runner::run_dri_uncached;
+use dri_experiments::runner::run_policy_uncached;
 use dri_experiments::{DriRun, ResultStore, RunConfig, SimSession};
 use dri_store::GcPolicy;
 use synth_workload::suite::Benchmark;
@@ -95,7 +95,7 @@ fn over_budget_store_reclaims_and_survivors_stay_bit_identical() {
     for (i, cfg) in cfgs.iter().enumerate() {
         let session = SimSession::builder().store(open_store(&root)).build();
         let dri = session.policy_run(cfg);
-        assert_dri_identical(&run_dri_uncached(cfg), &dri, "post-gc point");
+        assert_dri_identical(&run_policy_uncached(cfg), &dri, "post-gc point");
         if i == 3 {
             assert_eq!(session.stats().dri_disk_hits, 1, "warm record survived");
         }
@@ -236,7 +236,7 @@ fn gc_spares_undrained_journal_segments_and_sweeps_compacted_debris() {
 fn readers_racing_compaction_recompute_and_heal_never_tear() {
     let root = temp_root("race");
     let cfg = test_config();
-    let reference = run_dri_uncached(&cfg);
+    let reference = run_policy_uncached(&cfg);
     {
         let session = SimSession::builder().store(open_store(&root)).build();
         let _ = session.policy_run(&cfg);

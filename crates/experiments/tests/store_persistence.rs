@@ -14,7 +14,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use dri_experiments::runner::{run_conventional_uncached, run_dri_uncached, ConventionalRun};
+use dri_experiments::runner::{run_conventional_uncached, run_policy_uncached, ConventionalRun};
 use dri_experiments::{DriRun, ResultStore, RunConfig, SimSession};
 use synth_workload::suite::Benchmark;
 
@@ -123,7 +123,7 @@ fn warm_store(root: &Path, cfg: &RunConfig) -> (ConventionalRun, DriRun) {
         "both runs must be published to disk"
     );
     // The cold, store-backed results themselves match a no-cache run.
-    let reference = (run_conventional_uncached(cfg), run_dri_uncached(cfg));
+    let reference = (run_conventional_uncached(cfg), run_policy_uncached(cfg));
     assert_conventional_identical(&reference.0, &baseline, "cold baseline");
     assert_dri_identical(&reference.1, &dri, "cold dri");
     (reference.0, reference.1)
@@ -304,7 +304,7 @@ fn torn_journal_tail_recovers_the_synced_prefix_and_compacts_bit_identically() {
 fn concurrent_writers_converge_to_identical_results() {
     let root = temp_root("concurrent");
     let cfg = test_config();
-    let reference = run_dri_uncached(&cfg);
+    let reference = run_policy_uncached(&cfg);
 
     // Several "processes" (independent sessions over the same root) race
     // to simulate and publish the same point.

@@ -11,7 +11,7 @@
 use std::collections::HashSet;
 use std::path::PathBuf;
 
-use dri_experiments::runner::{run_conventional_uncached, run_dri_uncached};
+use dri_experiments::runner::{run_conventional_uncached, run_policy_uncached};
 use dri_experiments::{RunConfig, SimSession};
 use dri_telemetry::{trace, TraceEvent};
 use synth_workload::suite::Benchmark;
@@ -44,7 +44,7 @@ fn tracing_never_perturbs_results_and_emits_parsable_tier_spans() {
     // Bit-identity, traced vs fresh-and-uncached (which also runs under
     // the live trace — instrumentation is on for both sides).
     let fresh_baseline = run_conventional_uncached(&cfg);
-    let fresh_dri = run_dri_uncached(&cfg);
+    let fresh_dri = run_policy_uncached(&cfg);
     assert_eq!(baseline.timing.cycles, fresh_baseline.timing.cycles);
     assert_eq!(baseline.icache, fresh_baseline.icache);
     assert_eq!(baseline.timing.cycles, baseline_replay.timing.cycles);
