@@ -41,6 +41,7 @@ use dri_store::validate_record;
 use dri_telemetry::{trace, Histogram, Registry, Span, TraceEvent};
 
 use crate::http::read_response;
+use crate::stats::ServeStats;
 
 /// Transport failures tolerated before the breaker opens.
 pub const MAX_CONSECUTIVE_ERRORS: u32 = 3;
@@ -95,40 +96,72 @@ fn backoff_delay(attempt: u32, salt: u64) -> Duration {
     step + Duration::from_millis(jitter_ms)
 }
 
-/// Snapshot of one client's traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RemoteStats {
+/// Declares [`RemoteStats`] and the atomics behind it from one list of
+/// counter names, so a counter is declared once however many places
+/// read it.
+macro_rules! remote_stats {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// Snapshot of one client's traffic counters.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct RemoteStats {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        /// The live counters behind [`RemoteStats`], one atomic each.
+        #[derive(Debug, Default)]
+        struct RemoteCounters {
+            $($field: AtomicU64,)*
+        }
+
+        impl RemoteCounters {
+            fn snapshot(&self) -> RemoteStats {
+                RemoteStats { $($field: self.$field.load(Ordering::Relaxed),)* }
+            }
+        }
+
+        impl std::iter::Sum for RemoteStats {
+            /// The field-wise sum: a fleet's totals over its shards.
+            fn sum<I: Iterator<Item = RemoteStats>>(stats: I) -> RemoteStats {
+                stats.fold(RemoteStats::default(), |total, s| RemoteStats {
+                    $($field: total.$field + s.$field,)*
+                })
+            }
+        }
+    };
+}
+
+remote_stats! {
     /// Requests attempted (including ones the breaker swallowed).
-    pub requests: u64,
+    requests,
     /// Records fetched and validated.
-    pub hits: u64,
+    hits,
     /// Clean 404s / miss frames.
-    pub misses: u64,
+    misses,
     /// Responses rejected by end-to-end validation.
-    pub corrupt: u64,
+    corrupt,
     /// Transport errors (connect/read/write/HTTP failures).
-    pub errors: u64,
+    errors,
     /// Payload bytes of validated records.
-    pub bytes_fetched: u64,
+    bytes_fetched,
     /// `POST /batch` exchanges that reached the server (a chunked batch
     /// counts once per chunk; empty plans, breaker-absorbed chunks, and
     /// connections that never opened count zero).
-    pub batch_round_trips: u64,
+    batch_round_trips,
     /// Records the server accepted through the write path — named after
     /// the server's own `/stats` counter `records_accepted`, which
     /// advances in lockstep with this one.
-    pub records_accepted: u64,
+    records_accepted,
     /// Records the server definitively rejected: failed authentication,
     /// a read-only server, or a corrupt/key-mismatched frame. Mirrors
     /// the server's `/stats` counter `writes_rejected`.
-    pub writes_rejected: u64,
+    writes_rejected,
     /// `PUT` / `POST /batch-put` exchanges that reached the server
     /// (the client-side mirror of the server's `push_round_trips`).
-    pub push_round_trips: u64,
+    push_round_trips,
     /// Transient failures that were retried (each backoff sleep counts
     /// one). `errors` counts only *exhausted* rounds, so under flaky-but-
     /// recoverable transport this climbs while `errors` stays at zero.
-    pub retries: u64,
+    retries,
 }
 
 /// One entry's outcome in a [`RemoteStore::fetch_batch_outcomes`] call.
@@ -262,81 +295,6 @@ fn lease_field_u64(fields: &[(&str, &str)], key: &str) -> Option<u64> {
         .and_then(|(_, v)| v.parse().ok())
 }
 
-/// The server-side counters a `GET /stats` scrape surfaces to the
-/// suite's `--store-stats` report: the lease-scheduler tallies and the
-/// chaos-injection count, plus the store's size for context. Parsed
-/// from the server's hand-rolled JSON by [`RemoteStore::server_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Records in the server's store.
-    pub records: u64,
-    /// Bytes in the server's store.
-    pub bytes: u64,
-    /// `DRI_FAULT` chaos actions the server fired (0 in production).
-    pub faults_injected: u64,
-    /// `POST /lease/claim` requests fielded.
-    pub lease_claims: u64,
-    /// Claims answered with a grant.
-    pub lease_granted: u64,
-    /// Grants that took over a dead worker's expired lease.
-    pub lease_reclaimed: u64,
-    /// Successful heartbeat renewals.
-    pub lease_renewed: u64,
-    /// Units marked complete.
-    pub lease_completed: u64,
-    /// Lease calls refused (stale generation, expired, wrong owner, …).
-    pub lease_rejected: u64,
-    /// Records the server accepted through the write path.
-    pub records_accepted: u64,
-    /// Write-path records the server definitively rejected.
-    pub writes_rejected: u64,
-    /// `PUT` / `POST /batch-put` exchanges the server fielded.
-    pub push_round_trips: u64,
-    /// Records sitting in the server's group-commit journal, acked but
-    /// not yet compacted into record files.
-    pub journal_depth: u64,
-    /// Group-commit batches the server's journal has appended.
-    pub journal_batches: u64,
-    /// Fsyncs the journal has paid — one per batch, however many records
-    /// each carried.
-    pub journal_fsyncs: u64,
-    /// Records compaction has drained from the journal into the store.
-    pub journal_compacted: u64,
-}
-
-/// Pulls one unsigned-integer field out of the `/stats` JSON document.
-/// The document is flat enough (every key unique, every value a bare
-/// integer or boolean) that a substring scan is exact.
-fn scrape_u64(doc: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let digits: String = doc[at..].chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
-/// Parses the server's `GET /stats` JSON into [`ServerStats`]. `None`
-/// when a required field is absent — an old server or a non-stats body.
-fn parse_server_stats(doc: &str) -> Option<ServerStats> {
-    Some(ServerStats {
-        records: scrape_u64(doc, "records")?,
-        bytes: scrape_u64(doc, "bytes")?,
-        faults_injected: scrape_u64(doc, "faults_injected")?,
-        lease_claims: scrape_u64(doc, "claims")?,
-        lease_granted: scrape_u64(doc, "granted")?,
-        lease_reclaimed: scrape_u64(doc, "reclaimed")?,
-        lease_renewed: scrape_u64(doc, "renewed")?,
-        lease_completed: scrape_u64(doc, "completed")?,
-        lease_rejected: scrape_u64(doc, "rejected")?,
-        records_accepted: scrape_u64(doc, "records_accepted")?,
-        writes_rejected: scrape_u64(doc, "writes_rejected")?,
-        push_round_trips: scrape_u64(doc, "push_round_trips")?,
-        journal_depth: scrape_u64(doc, "depth")?,
-        journal_batches: scrape_u64(doc, "batches")?,
-        journal_fsyncs: scrape_u64(doc, "fsyncs")?,
-        journal_compacted: scrape_u64(doc, "compacted")?,
-    })
-}
-
 /// A handle on one remote result service.
 #[derive(Debug)]
 pub struct RemoteStore {
@@ -358,17 +316,7 @@ pub struct RemoteStore {
     /// shared process-wide via [`Registry::global`] so `suite` can print
     /// remote-tier percentiles however many clients a run constructs.
     exchange_latency: Histogram,
-    requests: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    corrupt: AtomicU64,
-    errors: AtomicU64,
-    bytes_fetched: AtomicU64,
-    batch_round_trips: AtomicU64,
-    records_accepted: AtomicU64,
-    writes_rejected: AtomicU64,
-    push_round_trips: AtomicU64,
-    retries: AtomicU64,
+    counters: RemoteCounters,
 }
 
 impl RemoteStore {
@@ -399,17 +347,7 @@ impl RemoteStore {
                 "dri_client_exchange_ns",
                 "remote-store HTTP round-trip latency per attempt (ns)",
             ),
-            requests: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            bytes_fetched: AtomicU64::new(0),
-            batch_round_trips: AtomicU64::new(0),
-            records_accepted: AtomicU64::new(0),
-            writes_rejected: AtomicU64::new(0),
-            push_round_trips: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
+            counters: RemoteCounters::default(),
         }
     }
 
@@ -425,19 +363,7 @@ impl RemoteStore {
 
     /// Snapshot of the traffic counters.
     pub fn stats(&self) -> RemoteStats {
-        RemoteStats {
-            requests: self.requests.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            bytes_fetched: self.bytes_fetched.load(Ordering::Relaxed),
-            batch_round_trips: self.batch_round_trips.load(Ordering::Relaxed),
-            records_accepted: self.records_accepted.load(Ordering::Relaxed),
-            writes_rejected: self.writes_rejected.load(Ordering::Relaxed),
-            push_round_trips: self.push_round_trips.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 
     /// Whether the circuit breaker has given up on the server.
@@ -445,20 +371,20 @@ impl RemoteStore {
         self.disabled.load(Ordering::Relaxed)
     }
 
-    /// Scrapes the server's `GET /stats` document and extracts the
-    /// scheduler/chaos counters (see [`ServerStats`]) — what
+    /// Scrapes and parses the server's `GET /stats` document into the
+    /// same view [`crate::Server::stats`] returns in process — what
     /// `suite --store-stats` prints alongside the client's own traffic.
     /// `None` on any transport failure, an unparsable body, or whenever
     /// the breaker is already open.
-    pub fn server_stats(&self) -> Option<ServerStats> {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+    pub fn server_stats(&self) -> Option<ServeStats> {
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         if self.is_disabled() {
             return None;
         }
         match self.exchange("GET", "/stats", b"") {
             Ok((200, body)) => {
                 self.consecutive_errors.store(0, Ordering::Relaxed);
-                parse_server_stats(&String::from_utf8_lossy(&body))
+                ServeStats::from_json(&String::from_utf8_lossy(&body))
             }
             Ok(_) | Err(_) => {
                 self.transport_error();
@@ -472,7 +398,7 @@ impl RemoteStore {
     /// any transport failure, and on every call once the breaker is
     /// open — the caller falls through to simulation either way.
     pub fn fetch(&self, kind: &str, schema: u32, key: u128) -> Option<Vec<u8>> {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         if self.is_disabled() {
             return None;
         }
@@ -484,7 +410,7 @@ impl RemoteStore {
             }
             Ok((404, _)) => {
                 self.consecutive_errors.store(0, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.counters.misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
             Ok(_) | Err(_) => {
@@ -555,7 +481,7 @@ impl RemoteStore {
         if entries.is_empty() {
             return (Vec::new(), 0);
         }
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         if self.is_disabled() {
             return (vec![BatchEntry::Failed; entries.len()], 0);
         }
@@ -565,13 +491,17 @@ impl RemoteStore {
         }
         let frames = match self.exchange("POST", "/batch", body.as_bytes()) {
             Ok((200, frames)) => {
-                self.batch_round_trips.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .batch_round_trips
+                    .fetch_add(1, Ordering::Relaxed);
                 self.consecutive_errors.store(0, Ordering::Relaxed);
                 frames
             }
             Ok(_) => {
                 // The exchange happened; the server rejected it.
-                self.batch_round_trips.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .batch_round_trips
+                    .fetch_add(1, Ordering::Relaxed);
                 self.transport_error();
                 return (vec![BatchEntry::Failed; entries.len()], 1);
             }
@@ -585,7 +515,8 @@ impl RemoteStore {
         for &(_, schema, key) in entries {
             let Some((record, rest)) = take_frame(cursor) else {
                 // A short response corrupts every remaining entry.
-                self.corrupt
+                self.counters
+                    .corrupt
                     .fetch_add((entries.len() - results.len()) as u64, Ordering::Relaxed);
                 results.resize(entries.len(), BatchEntry::Failed);
                 return (results, 1);
@@ -597,7 +528,7 @@ impl RemoteStore {
                     None => BatchEntry::Failed,
                 }),
                 None => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    self.counters.misses.fetch_add(1, Ordering::Relaxed);
                     results.push(BatchEntry::Miss);
                 }
             }
@@ -616,9 +547,11 @@ impl RemoteStore {
     /// this client's token; the server re-validates the record against
     /// the path before a byte lands on its disk.
     pub fn push(&self, kind: &str, schema: u32, key: u128, record: &[u8]) -> PushOutcome {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         if self.is_push_disabled() {
-            self.writes_rejected.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .writes_rejected
+                .fetch_add(1, Ordering::Relaxed);
             return PushOutcome::Rejected;
         }
         if self.is_disabled() {
@@ -627,7 +560,9 @@ impl RemoteStore {
         let path = format!("/record/{kind}/v{schema}/{key:032x}");
         match self.push_answer(self.exchange("PUT", &path, record), 1) {
             Ok(_) => {
-                self.records_accepted.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .records_accepted
+                    .fetch_add(1, Ordering::Relaxed);
                 PushOutcome::Accepted
             }
             Err((outcome, _)) => outcome,
@@ -674,9 +609,10 @@ impl RemoteStore {
         if entries.is_empty() {
             return (Vec::new(), 0);
         }
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         if self.is_push_disabled() {
-            self.writes_rejected
+            self.counters
+                .writes_rejected
                 .fetch_add(entries.len() as u64, Ordering::Relaxed);
             return (vec![PushOutcome::Rejected; entries.len()], 0);
         }
@@ -697,11 +633,15 @@ impl RemoteStore {
                 let outcomes: Vec<PushOutcome> = (0..entries.len())
                     .map(|i| match statuses.get(i) {
                         Some(1) => {
-                            self.records_accepted.fetch_add(1, Ordering::Relaxed);
+                            self.counters
+                                .records_accepted
+                                .fetch_add(1, Ordering::Relaxed);
                             PushOutcome::Accepted
                         }
                         Some(_) => {
-                            self.writes_rejected.fetch_add(1, Ordering::Relaxed);
+                            self.counters
+                                .writes_rejected
+                                .fetch_add(1, Ordering::Relaxed);
                             PushOutcome::Rejected
                         }
                         // A short status vector leaves the tail unknown.
@@ -729,7 +669,9 @@ impl RemoteStore {
     ) -> Result<Vec<u8>, (PushOutcome, u64)> {
         let status = match answer {
             Ok((200, body)) => {
-                self.push_round_trips.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .push_round_trips
+                    .fetch_add(1, Ordering::Relaxed);
                 self.consecutive_errors.store(0, Ordering::Relaxed);
                 return Ok(body);
             }
@@ -740,13 +682,16 @@ impl RemoteStore {
             }
         };
         // The exchange happened, whatever the server answered.
-        self.push_round_trips.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .push_round_trips
+            .fetch_add(1, Ordering::Relaxed);
         if status >= 500 {
             self.transport_error();
             return Err((PushOutcome::Failed, 1));
         }
         self.consecutive_errors.store(0, Ordering::Relaxed);
-        self.writes_rejected
+        self.counters
+            .writes_rejected
             .fetch_add(records as u64, Ordering::Relaxed);
         if matches!(status, 401 | 405) {
             self.auth_rejected(status);
@@ -792,7 +737,7 @@ impl RemoteStore {
         worker: &str,
         units: &[String],
     ) -> Result<LeaseClaim, LeaseError> {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         let mut body = format!("campaign={campaign}\nworker={worker}\n");
         for unit in units {
             body.push_str(&format!("unit={unit}\n"));
@@ -854,7 +799,7 @@ impl RemoteStore {
         generation: u64,
         worker: &str,
     ) -> Result<u64, LeaseError> {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         let body = format!("campaign={campaign}\nworker={worker}\nunit={unit}\ngen={generation}\n");
         let (status, response) = self
             .exchange("POST", "/lease/renew", body.as_bytes())
@@ -898,7 +843,7 @@ impl RemoteStore {
         generation: u64,
         worker: &str,
     ) -> Result<(), LeaseError> {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         let body = format!("campaign={campaign}\nworker={worker}\nunit={unit}\ngen={generation}\n");
         let (status, response) = self
             .exchange("POST", "/lease/complete", body.as_bytes())
@@ -939,20 +884,21 @@ impl RemoteStore {
     fn accept(&self, record: &[u8], schema: u32, key: u128) -> Option<Vec<u8>> {
         match validate_record(record, schema, key) {
             Some(payload) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.bytes_fetched
+                self.counters.hits.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .bytes_fetched
                     .fetch_add(payload.len() as u64, Ordering::Relaxed);
                 Some(payload.to_vec())
             }
             None => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
+                self.counters.corrupt.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
     }
 
     fn transport_error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
+        self.counters.errors.fetch_add(1, Ordering::Relaxed);
         let seen = self.consecutive_errors.fetch_add(1, Ordering::Relaxed) + 1;
         if seen >= MAX_CONSECUTIVE_ERRORS && !self.disabled.swap(true, Ordering::Relaxed) {
             if trace::enabled() {
@@ -992,7 +938,7 @@ impl RemoteStore {
             if !transient || attempt >= RETRY_ATTEMPTS {
                 return outcome;
             }
-            self.retries.fetch_add(1, Ordering::Relaxed);
+            self.counters.retries.fetch_add(1, Ordering::Relaxed);
             if trace::enabled() {
                 TraceEvent::new("retry", path)
                     .outcome(&match &outcome {
@@ -1197,47 +1143,67 @@ mod tests {
 
     #[test]
     fn server_stats_parse_from_stats_json() {
-        // Shaped exactly like `server::stats_json` renders, including the
-        // fields whose names are near-collisions (`records_accepted`,
-        // `writes_rejected`, `bytes_served`) — the scraper must not
-        // confuse them with `records`, `rejected`, or `bytes`.
-        let doc = "{\"records\":12,\"bytes\":3456,\"generation\":2,\"writable\":true,\
-                   \"requests\":99,\"hits\":40,\"misses\":8,\
-                   \"bad_requests\":1,\"batch_requests\":3,\"bytes_served\":70000,\
-                   \"push_round_trips\":5,\"records_accepted\":33,\"writes_rejected\":2,\
-                   \"faults_injected\":7,\
-                   \"leases\":{\"claims\":20,\"granted\":16,\"reclaimed\":4,\
-                   \"renewed\":50,\"completed\":15,\"rejected\":1},\
-                   \"store\":{\"hits\":40,\"misses\":8,\"corrupt\":0},\
-                   \"journal\":{\"enabled\":true,\"depth\":6,\"batches\":9,\
-                   \"appended\":21,\"fsyncs\":9,\"compactions\":2,\"compacted\":15}}\n";
+        // The fixture is the server's own rendering (every leaf distinct),
+        // so it cannot drift from what `GET /stats` sends.
+        let sent = ServeStats {
+            records: 12,
+            bytes: 3456,
+            generation: 2,
+            writable: true,
+            requests: 99,
+            hits: 40,
+            misses: 8,
+            bad_requests: 1,
+            batch_requests: 3,
+            bytes_served: 70000,
+            push_round_trips: 5,
+            records_accepted: 33,
+            writes_rejected: 22,
+            faults_injected: 7,
+            lease_claims: 20,
+            lease_granted: 16,
+            lease_reclaimed: 4,
+            lease_renewed: 50,
+            lease_completed: 15,
+            lease_rejected: 18,
+            store_hits: 41,
+            store_misses: 9,
+            store_corrupt: 11,
+            journal_enabled: true,
+            journal_depth: 6,
+            journal_batches: 10,
+            journal_appended: 21,
+            journal_fsyncs: 13,
+            journal_compactions: 14,
+            journal_compacted: 19,
+            ring_shards: 23,
+            ring_replicas: 17,
+        };
+        let doc = String::from_utf8(sent.to_json()).expect("utf-8 stats");
+        let parsed = ServeStats::from_json(&doc).expect("a rendered document parses");
+        assert_eq!(parsed, sent);
+        // Near-collision keys land in their own fields: `records_accepted`
+        // is not `records`, `bytes_served` not `bytes`, `writes_rejected`
+        // not `rejected`.
+        assert_eq!((parsed.records, parsed.records_accepted), (12, 33));
+        assert_eq!((parsed.bytes, parsed.bytes_served), (3456, 70000));
+        assert_eq!((parsed.writes_rejected, parsed.lease_rejected), (22, 18));
+        // The same key in two sections: `store.hits` is not `hits`.
+        assert_eq!((parsed.hits, parsed.store_hits), (40, 41));
+        assert_eq!((parsed.misses, parsed.store_misses), (8, 9));
+        let without_store_hits = doc.replace("\"store\":{\"hits\":41,", "\"store\":{");
+        assert_ne!(without_store_hits, doc);
         assert_eq!(
-            parse_server_stats(doc),
-            Some(ServerStats {
-                records: 12,
-                bytes: 3456,
-                faults_injected: 7,
-                lease_claims: 20,
-                lease_granted: 16,
-                lease_reclaimed: 4,
-                lease_renewed: 50,
-                lease_completed: 15,
-                lease_rejected: 1,
-                records_accepted: 33,
-                writes_rejected: 2,
-                push_round_trips: 5,
-                journal_depth: 6,
-                journal_batches: 9,
-                journal_fsyncs: 9,
-                journal_compacted: 15,
-            })
+            ServeStats::from_json(&without_store_hits),
+            None,
+            "a missing store.hits is not read from the top-level hits"
         );
         assert_eq!(
-            parse_server_stats("{\"records\":1}"),
+            ServeStats::from_json("{\"records\":1}"),
             None,
             "missing fields"
         );
-        assert_eq!(parse_server_stats("not json at all"), None);
+        assert_eq!(ServeStats::from_json("not json at all"), None);
     }
 
     #[test]

@@ -137,12 +137,13 @@ pub mod fault;
 pub mod http;
 pub mod server;
 pub mod sharded;
+pub mod stats;
 
 pub use client::{
-    BatchEntry, LeaseClaim, LeaseError, PushOutcome, RemoteStats, RemoteStore, ServerStats,
-    BATCH_CHUNK,
+    BatchEntry, LeaseClaim, LeaseError, PushOutcome, RemoteStats, RemoteStore, BATCH_CHUNK,
 };
 pub use config::FleetConfig;
 pub use fault::FaultSpec;
-pub use server::{JournalConfig, ServeStats, Server, DEFAULT_LEASE_TTL_MS};
+pub use server::{JournalConfig, Server, DEFAULT_LEASE_TTL_MS};
 pub use sharded::{ShardedStore, DEFAULT_REPLICAS};
+pub use stats::ServeStats;

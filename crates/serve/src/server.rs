@@ -36,10 +36,11 @@ use dri_store::lease::{self, ClaimOutcome, LeaseBroker, LeaseRefusal};
 use dri_store::{
     frame_record, validate_record, Journal, JournalEntry, JournalOptions, JournalStats, ResultStore,
 };
-use dri_telemetry::{trace, Counter, Gauge, Histogram, Registry, TraceEvent};
+use dri_telemetry::{trace, Registry, TraceEvent};
 
 use crate::fault::{FaultAction, FaultSpec};
 use crate::http::{read_request, render_head, write_response, Request};
+use crate::stats::{AtomicServeStats, Sample, ServeStats};
 
 /// Per-connection I/O timeout: a stalled peer releases its worker.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
@@ -188,228 +189,6 @@ impl CommitWindow {
     }
 }
 
-/// Snapshot of the service's traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Requests parsed (all endpoints).
-    pub requests: u64,
-    /// Records served, singly or inside batch frames (the JSON key is
-    /// `hits`, matching the store-counter naming everywhere else).
-    pub hits: u64,
-    /// Record lookups answered 404 / miss-framed (absent or corrupt;
-    /// the JSON key is `misses`).
-    pub misses: u64,
-    /// Requests rejected as malformed.
-    pub bad_requests: u64,
-    /// Batch requests handled.
-    pub batch_requests: u64,
-    /// Response body bytes written.
-    pub bytes_served: u64,
-    /// Write exchanges (`PUT /record/...` + `POST /batch-put`) routed,
-    /// authorized or not — the server-side mirror of the client's
-    /// `push_round_trips`.
-    pub push_round_trips: u64,
-    /// Records accepted through the write path and landed on disk.
-    pub records_accepted: u64,
-    /// Write attempts rejected: failed authentication, writes hitting a
-    /// read-only server, and corrupt / key-mismatched / oversized frames
-    /// (counted per entry for `/batch-put`).
-    pub writes_rejected: u64,
-    /// `/lease/claim` requests handled (authorized and well-formed).
-    pub lease_claims: u64,
-    /// Claims answered with a grant.
-    pub lease_granted: u64,
-    /// Grants that took over an expired lease — a dead worker's unit
-    /// handed to a survivor.
-    pub lease_reclaimed: u64,
-    /// Successful `/lease/renew` heartbeats.
-    pub lease_renewed: u64,
-    /// Units marked done through `/lease/complete`.
-    pub lease_completed: u64,
-    /// Renew/complete attempts refused (`409`): stale generation, wrong
-    /// owner, expired lease, unknown unit.
-    pub lease_rejected: u64,
-    /// Faults injected by the `DRI_FAULT` chaos layer (0 in production).
-    pub faults_injected: u64,
-}
-
-/// The server's counters as telemetry handles, all registered in one
-/// per-server [`Registry`]. `/stats` snapshots these very atomics and
-/// `GET /metrics` renders the same registry, so the two reporters can
-/// never diverge — one set of counters, two expositions. (Per-server
-/// rather than process-global so parallel test servers stay isolated.)
-#[derive(Debug)]
-struct AtomicServeStats {
-    registry: Registry,
-    requests: Counter,
-    hits: Counter,
-    misses: Counter,
-    bad_requests: Counter,
-    batch_requests: Counter,
-    bytes_served: Counter,
-    push_round_trips: Counter,
-    records_accepted: Counter,
-    writes_rejected: Counter,
-    lease_claims: Counter,
-    lease_granted: Counter,
-    lease_reclaimed: Counter,
-    lease_renewed: Counter,
-    lease_completed: Counter,
-    lease_rejected: Counter,
-    faults_injected: Counter,
-    /// Wall time from request-parsed to response-built, per request.
-    request_latency: Histogram,
-    /// Fleet membership gauges (from `DRI_SHARDS`/`DRI_REPLICAS` in the
-    /// server's environment; zero when it serves outside a fleet).
-    ring_shards: Gauge,
-    ring_replicas: Gauge,
-    /// Disk-tier gauges, refreshed at `/metrics` scrape time.
-    store_records: Gauge,
-    store_bytes: Gauge,
-    store_generation: Gauge,
-    /// Journal-tier gauges, refreshed at `/metrics` scrape time from
-    /// [`Journal::stats`].
-    journal_depth: Gauge,
-    journal_batches: Gauge,
-    journal_appended: Gauge,
-    journal_fsyncs: Gauge,
-    journal_compactions: Gauge,
-    journal_compacted: Gauge,
-}
-
-impl Default for AtomicServeStats {
-    fn default() -> AtomicServeStats {
-        let registry = Registry::new();
-        AtomicServeStats {
-            requests: registry.counter(
-                "dri_serve_requests_total",
-                "requests parsed (all endpoints)",
-            ),
-            hits: registry.counter(
-                "dri_serve_hits_total",
-                "records served, singly or in batch frames",
-            ),
-            misses: registry.counter(
-                "dri_serve_misses_total",
-                "record lookups answered 404 / miss-framed",
-            ),
-            bad_requests: registry.counter(
-                "dri_serve_bad_requests_total",
-                "requests rejected as malformed",
-            ),
-            batch_requests: registry.counter(
-                "dri_serve_batch_requests_total",
-                "POST /batch requests handled",
-            ),
-            bytes_served: registry.counter(
-                "dri_serve_bytes_served_total",
-                "response body bytes written",
-            ),
-            push_round_trips: registry
-                .counter("dri_serve_push_round_trips_total", "write exchanges routed"),
-            records_accepted: registry.counter(
-                "dri_serve_records_accepted_total",
-                "records landed through the write path",
-            ),
-            writes_rejected: registry
-                .counter("dri_serve_writes_rejected_total", "write attempts rejected"),
-            lease_claims: registry.counter(
-                "dri_serve_lease_claims_total",
-                "well-formed POST /lease/claim requests",
-            ),
-            lease_granted: registry.counter(
-                "dri_serve_lease_granted_total",
-                "claims answered with a unit",
-            ),
-            lease_reclaimed: registry.counter(
-                "dri_serve_lease_reclaimed_total",
-                "grants that took over an expired lease",
-            ),
-            lease_renewed: registry
-                .counter("dri_serve_lease_renewed_total", "successful heartbeats"),
-            lease_completed: registry
-                .counter("dri_serve_lease_completed_total", "units marked done"),
-            lease_rejected: registry.counter(
-                "dri_serve_lease_rejected_total",
-                "409s: stale gen / wrong owner / expired",
-            ),
-            faults_injected: registry.counter(
-                "dri_serve_faults_injected_total",
-                "DRI_FAULT chaos actions fired (0 in production)",
-            ),
-            request_latency: registry.histogram(
-                "dri_serve_request_latency_ns",
-                "request handling latency, parse to response-built",
-            ),
-            ring_shards: registry.gauge(
-                "dri_serve_ring_shards",
-                "fleet size from DRI_SHARDS (0 = not in a fleet)",
-            ),
-            ring_replicas: registry.gauge(
-                "dri_serve_ring_replicas",
-                "replication factor from DRI_REPLICAS",
-            ),
-            store_records: registry.gauge(
-                "dri_serve_store_records",
-                "validated records on disk (cached walk)",
-            ),
-            store_bytes: registry.gauge(
-                "dri_serve_store_bytes",
-                "record file bytes on disk (cached walk)",
-            ),
-            store_generation: registry.gauge("dri_serve_store_generation", "current GC generation"),
-            journal_depth: registry.gauge(
-                "dri_serve_journal_depth",
-                "records acked into the journal, not yet compacted",
-            ),
-            journal_batches: registry.gauge(
-                "dri_serve_journal_batches",
-                "group-commit batches appended since open",
-            ),
-            journal_appended: registry.gauge(
-                "dri_serve_journal_appended",
-                "records appended to the journal since open",
-            ),
-            journal_fsyncs: registry.gauge(
-                "dri_serve_journal_fsyncs",
-                "segment fsyncs paid since open (one per batch)",
-            ),
-            journal_compactions: registry.gauge(
-                "dri_serve_journal_compactions",
-                "compaction passes that drained at least one record",
-            ),
-            journal_compacted: registry.gauge(
-                "dri_serve_journal_compacted",
-                "records drained from the journal into the store",
-            ),
-            registry,
-        }
-    }
-}
-
-impl AtomicServeStats {
-    fn snapshot(&self) -> ServeStats {
-        ServeStats {
-            requests: self.requests.get(),
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            bad_requests: self.bad_requests.get(),
-            batch_requests: self.batch_requests.get(),
-            bytes_served: self.bytes_served.get(),
-            push_round_trips: self.push_round_trips.get(),
-            records_accepted: self.records_accepted.get(),
-            writes_rejected: self.writes_rejected.get(),
-            lease_claims: self.lease_claims.get(),
-            lease_granted: self.lease_granted.get(),
-            lease_reclaimed: self.lease_reclaimed.get(),
-            lease_renewed: self.lease_renewed.get(),
-            lease_completed: self.lease_completed.get(),
-            lease_rejected: self.lease_rejected.get(),
-            faults_injected: self.faults_injected.get(),
-        }
-    }
-}
-
 /// State every connection worker shares.
 #[derive(Debug)]
 struct Shared {
@@ -434,9 +213,6 @@ struct Shared {
     journal: Journal,
     /// Coalesces concurrent writers into one journal append.
     window: CommitWindow,
-    /// Fleet membership from the environment: `(shards, replicas)` when
-    /// this process serves one shard of a `DRI_SHARDS` fleet.
-    ring: Option<(u64, u64)>,
 }
 
 impl Shared {
@@ -529,7 +305,7 @@ impl Server {
         let journal = Journal::open(store.root(), config.options)?;
         let shared = Arc::new(Shared {
             store,
-            stats: AtomicServeStats::default(),
+            stats: AtomicServeStats::new(),
             token: token.filter(|t| !t.is_empty()),
             usage: Mutex::new(None),
             broker,
@@ -537,7 +313,6 @@ impl Server {
             faults,
             journal,
             window: CommitWindow::new(config.commit_window),
-            ring: crate::config::fleet().membership(),
         });
         let accept = spawn_threaded(
             listener,
@@ -569,9 +344,10 @@ impl Server {
         self.addr
     }
 
-    /// Snapshot of the traffic counters.
+    /// The whole `/stats` document as a typed value, read from the
+    /// same registry and refresh as the endpoint.
     pub fn stats(&self) -> ServeStats {
-        self.shared.stats.snapshot()
+        refresh(&self.shared)
     }
 
     /// Whether the write path is enabled (a `DRI_TOKEN` secret was
@@ -858,7 +634,7 @@ fn route(request: &Request, shared: &Shared) -> Response {
     let stats = &shared.stats;
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => (200, "OK", "text/plain", b"ok\n".to_vec()),
-        ("GET", "/stats") => (200, "OK", "application/json", stats_json(shared)),
+        ("GET", "/stats") => (200, "OK", "application/json", refresh(shared).to_json()),
         ("GET", "/metrics") => (200, "OK", "text/plain; version=0.0.4", metrics_text(shared)),
         ("GET", path) if path.starts_with("/record/") => match parse_record_path(path) {
             Some((kind, schema, key)) => match serve_record(&kind, schema, key, shared) {
@@ -1435,94 +1211,31 @@ fn batch(body: &[u8], shared: &Shared) -> Option<Vec<u8>> {
     Some(frames)
 }
 
-/// Hand-rolled JSON (no dependencies): every value is an unsigned
-/// integer or a bare boolean, so escaping never arises. The schema — documented in
-/// `ARCHITECTURE.md` §Observability — names served-vs-missed record
-/// traffic `hits`/`misses` at both levels (service and the nested
-/// `store` disk-tier counters), the same keys `suite --store-stats`
-/// prints, so dashboards scrape one vocabulary.
-fn stats_json(shared: &Shared) -> Vec<u8> {
-    let store = &*shared.store;
-    let usage = shared.disk_usage();
-    let snap = shared.stats.snapshot();
-    let traffic = store.stats();
-    let journal = shared.journal.stats();
-    format!(
-        "{{\"records\":{},\"bytes\":{},\"generation\":{},\"writable\":{},\
-         \"requests\":{},\"hits\":{},\"misses\":{},\
-         \"bad_requests\":{},\"batch_requests\":{},\"bytes_served\":{},\
-         \"push_round_trips\":{},\"records_accepted\":{},\"writes_rejected\":{},\
-         \"faults_injected\":{},\
-         \"leases\":{{\"claims\":{},\"granted\":{},\"reclaimed\":{},\
-         \"renewed\":{},\"completed\":{},\"rejected\":{}}},\
-         \"store\":{{\"hits\":{},\"misses\":{},\"corrupt\":{}}},\
-         \"journal\":{{\"enabled\":true,\"depth\":{},\"batches\":{},\
-         \"appended\":{},\"fsyncs\":{},\"compactions\":{},\"compacted\":{}}},\
-         \"ring\":{{\"shards\":{},\"replicas\":{}}}}}\n",
-        usage.records,
-        usage.bytes,
-        store.generation(),
-        shared.token.is_some(),
-        snap.requests,
-        snap.hits,
-        snap.misses,
-        snap.bad_requests,
-        snap.batch_requests,
-        snap.bytes_served,
-        snap.push_round_trips,
-        snap.records_accepted,
-        snap.writes_rejected,
-        snap.faults_injected,
-        snap.lease_claims,
-        snap.lease_granted,
-        snap.lease_reclaimed,
-        snap.lease_renewed,
-        snap.lease_completed,
-        snap.lease_rejected,
-        traffic.hits,
-        traffic.misses,
-        traffic.corrupt,
-        journal.depth,
-        journal.batches,
-        journal.appended,
-        journal.fsyncs,
-        journal.compactions,
-        journal.compacted,
-        shared.ring.map_or(0, |(shards, _)| shards),
-        shared.ring.map_or(0, |(_, replicas)| replicas),
-    )
-    .into_bytes()
-}
-
-/// Builds the `GET /metrics` body: the Prometheus text exposition of
-/// the server's registry — the *same* atomics `/stats` snapshots, so
-/// the two endpoints agree by construction. Disk-tier gauges (records,
-/// bytes, generation) are refreshed from the cached usage walk at
-/// scrape time.
+/// Builds the `GET /metrics` body: the server's registry after the same
+/// refresh `/stats` runs, so the two endpoints agree by construction.
 fn metrics_text(shared: &Shared) -> Vec<u8> {
-    let usage = shared.disk_usage();
-    let stats = &shared.stats;
-    stats.store_records.set(usage.records);
-    stats.store_bytes.set(usage.bytes);
-    stats.store_generation.set(shared.store.generation());
-    if let Some((shards, replicas)) = shared.ring {
-        stats.ring_shards.set(shards);
-        stats.ring_replicas.set(replicas);
-    }
-    let journal = shared.journal.stats();
-    stats.journal_depth.set(journal.depth);
-    stats.journal_batches.set(journal.batches);
-    stats.journal_appended.set(journal.appended);
-    stats.journal_fsyncs.set(journal.fsyncs);
-    stats.journal_compactions.set(journal.compactions);
-    stats.journal_compacted.set(journal.compacted);
-    let mut text = stats.registry.render_prometheus();
+    refresh(shared);
+    let mut text = shared.stats.registry.render_prometheus();
     // The store's disk-tier latency histograms live in the process-wide
     // registry (every ResultStore handle shares them); append them so
     // one scrape covers both layers. Name prefixes are disjoint
     // (dri_serve_* vs dri_store_*), so the expositions never collide.
     text.push_str(&Registry::global().render_prometheus());
     text.into_bytes()
+}
+
+/// Samples the store, the journal and the ring into the registry's
+/// gauges and reads every `/stats` leaf back out of the registry.
+/// `/stats`, `/metrics` and [`Server::stats`] all refresh here.
+fn refresh(shared: &Shared) -> ServeStats {
+    shared.stats.refresh(&Sample {
+        usage: shared.disk_usage(),
+        generation: shared.store.generation(),
+        store: shared.store.stats(),
+        journal: shared.journal.stats(),
+        ring: crate::config::fleet().membership().unwrap_or_default(),
+        writable: shared.token.is_some(),
+    })
 }
 
 #[cfg(test)]

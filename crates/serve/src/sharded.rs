@@ -28,7 +28,8 @@
 
 use dri_store::HashRing;
 
-use crate::client::{BatchEntry, PushOutcome, RemoteStats, RemoteStore, ServerStats};
+use crate::client::{BatchEntry, PushOutcome, RemoteStats, RemoteStore};
+use crate::stats::ServeStats;
 
 /// Replication factor when [`crate::config::REPLICAS_ENV`] is unset:
 /// every record lives on two shards, so any single shard death keeps
@@ -273,22 +274,7 @@ impl ShardedStore {
 
     /// Fleet-wide traffic counters: the field-wise sum over shards.
     pub fn stats(&self) -> RemoteStats {
-        let mut total = RemoteStats::default();
-        for shard in &self.shards {
-            let s = shard.stats();
-            total.requests += s.requests;
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.corrupt += s.corrupt;
-            total.errors += s.errors;
-            total.bytes_fetched += s.bytes_fetched;
-            total.batch_round_trips += s.batch_round_trips;
-            total.records_accepted += s.records_accepted;
-            total.writes_rejected += s.writes_rejected;
-            total.push_round_trips += s.push_round_trips;
-            total.retries += s.retries;
-        }
-        total
+        self.shards.iter().map(RemoteStore::stats).sum()
     }
 
     /// Per-shard traffic counters, `(addr, stats)` in ring order.
@@ -301,7 +287,7 @@ impl ShardedStore {
 
     /// Scrapes every shard's `GET /stats`, `(addr, stats)` in ring
     /// order (`None` per shard on transport failure).
-    pub fn server_stats_all(&self) -> Vec<(String, Option<ServerStats>)> {
+    pub fn server_stats_all(&self) -> Vec<(String, Option<ServeStats>)> {
         self.shards
             .iter()
             .map(|shard| (shard.addr().to_owned(), shard.server_stats()))

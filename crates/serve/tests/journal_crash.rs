@@ -17,7 +17,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use dri_serve::{JournalConfig, RemoteStore, Server};
+use dri_serve::{JournalConfig, RemoteStore, ServeStats, Server};
 use dri_store::{frame_record, Journal, JournalEntry, JournalOptions, ResultStore};
 
 /// The tests of this file take turns. A child `Command::spawn` forks
@@ -243,6 +243,56 @@ fn journaled_pushes_read_through_before_and_after_compaction() {
     assert_eq!(remote.journal_fsyncs, 1);
     assert_eq!(remote.journal_depth, 0);
     assert_eq!(remote.journal_compacted, 8);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
+fn the_wire_stats_view_equals_the_in_process_view() {
+    let _serial = serial();
+    let root = temp_root("roundtrip");
+    let store = Arc::new(ResultStore::open(&root).expect("open store"));
+    let token = "roundtrip-secret";
+    // Compaction is driven by hand, so nothing moves between the two
+    // reads below.
+    let config = JournalConfig {
+        compact_interval: Duration::from_secs(3600),
+        ..JournalConfig::default()
+    };
+    let server = Server::bind_with_journal(
+        Arc::clone(&store),
+        "127.0.0.1:0",
+        2,
+        Some(token.to_owned()),
+        30_000,
+        None,
+        Some(config),
+    )
+    .expect("bind");
+    let client = RemoteStore::with_token(server.addr().to_string(), Some(token.to_owned()));
+    let batch = batch_entries(b'w', 5);
+    assert!(push_one_batch(&client, &batch)
+        .iter()
+        .all(|o| *o == dri_serve::PushOutcome::Accepted));
+    assert!(client.fetch("dri", 1, batch[0].0).is_some());
+    assert_eq!(server.compact_journal().expect("compact"), 5);
+
+    let local = server.stats();
+    let remote = client.server_stats().expect("server stats parse");
+    // The scrape counts itself in `requests` before rendering, and adds
+    // its own body to `bytes_served` only after.
+    assert_eq!(
+        remote,
+        ServeStats {
+            requests: local.requests + 1,
+            ..local
+        },
+        "GET /stats parses back into the in-process view"
+    );
+    assert!(remote.writable && remote.journal_enabled);
+    assert_eq!((remote.records, remote.records_accepted), (5, 5));
+    assert_eq!((remote.hits, remote.journal_compacted), (1, 5));
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(root);
