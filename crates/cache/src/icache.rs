@@ -17,6 +17,20 @@ use crate::stats::CacheStats;
 /// integrate their active-size history; `retire_instructions` drives
 /// sense-interval boundaries (the DRI i-cache measures intervals in dynamic
 /// instructions, paper §2.1).
+///
+/// # Deferred retirement
+///
+/// A caller need not report every committed instruction as it commits.
+/// [`retire_budget`](Self::retire_budget) says how many more instructions
+/// may retire before one must be reported with its own commit cycle; the
+/// timing model holds committed instructions back and reports them in
+/// one `retire_instructions(n, commit)` call when `n` reaches the budget,
+/// `commit` being the cycle at which the budget's last instruction
+/// committed (and it flushes any remainder before [`finish`](Self::finish)).
+/// Implementations must make that exact: a call whose `n` stays below
+/// the budget may change nothing but the budget itself (nothing that
+/// `access`, `finish` or an accounting accessor observes), so its
+/// `cycle` goes unread.
 pub trait InstCache {
     /// Fetch access for the block containing `addr`; returns `true` on hit.
     /// On a miss the block is allocated (the caller adds fill latency).
@@ -28,9 +42,21 @@ pub trait InstCache {
     /// Block (line) size in bytes — fetch groups stop at block boundaries.
     fn block_bytes(&self) -> u64;
 
-    /// Informs the cache that `n` instructions committed, for interval
-    /// accounting. The default does nothing (conventional caches are not
-    /// adaptive).
+    /// How many more committed instructions the cache can be told about
+    /// late: the instruction that ends the current sense interval, or
+    /// `u64::MAX` for a cache whose retirement does nothing. Always at
+    /// least 1. It changes only in [`Self::retire_instructions`].
+    ///
+    /// Required, not defaulted: a wrapper that forwards
+    /// `retire_instructions` must forward this too, or its inner cache
+    /// would hear of its interval ends late.
+    fn retire_budget(&self) -> u64;
+
+    /// Informs the cache that `n` instructions committed, the last of
+    /// them at `cycle`, for interval accounting. The timing model never
+    /// passes more than [`Self::retire_budget`]; a larger `n` ends every
+    /// interval it completes at `cycle`. The default does nothing
+    /// (conventional caches are not adaptive).
     fn retire_instructions(&mut self, n: u64, cycle: u64) {
         let _ = (n, cycle);
     }
@@ -89,6 +115,10 @@ impl InstCache for ConventionalICache {
         self.cache.config().block_bytes
     }
 
+    fn retire_budget(&self) -> u64 {
+        u64::MAX
+    }
+
     fn stats(&self) -> &CacheStats {
         self.cache.stats()
     }
@@ -111,6 +141,7 @@ mod tests {
     #[test]
     fn default_trait_hooks_are_noops() {
         let mut ic = ConventionalICache::hpca01();
+        assert_eq!(ic.retire_budget(), u64::MAX);
         ic.retire_instructions(1_000_000, 123);
         ic.finish(456);
         assert_eq!(ic.stats().accesses, 0);

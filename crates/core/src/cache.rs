@@ -350,6 +350,10 @@ impl InstCache for DriICache {
         self.cfg.block_bytes
     }
 
+    fn retire_budget(&self) -> u64 {
+        self.cfg.sense_interval - self.insts_into_interval
+    }
+
     fn retire_instructions(&mut self, n: u64, cycle: u64) {
         self.insts_into_interval += n;
         while self.insts_into_interval >= self.cfg.sense_interval {
@@ -675,5 +679,17 @@ mod tests {
         }
         assert_eq!(c.intervals_elapsed(), 1);
         assert_eq!(c.active_sets(), 64);
+    }
+
+    #[test]
+    fn retire_budget_counts_down_to_the_interval_end() {
+        let mut c = DriICache::new(small_cfg());
+        assert_eq!(c.retire_budget(), 1000);
+        c.retire_instructions(999, 999);
+        assert_eq!(c.retire_budget(), 1);
+        assert_eq!(c.intervals_elapsed(), 0, "short of the budget: no boundary");
+        c.retire_instructions(1, 1000);
+        assert_eq!(c.retire_budget(), 1000, "a new interval starts");
+        assert_eq!(c.intervals_elapsed(), 1);
     }
 }

@@ -300,6 +300,10 @@ impl InstCache for DecayICache {
         self.cfg.block_bytes
     }
 
+    fn retire_budget(&self) -> u64 {
+        u64::MAX // cycle-driven: retirement does nothing
+    }
+
     fn finish(&mut self, cycle: u64) {
         self.sweep(cycle);
         self.finished_at = Some(cycle.max(1));

@@ -330,6 +330,10 @@ impl InstCache for WayResizableICache {
         self.cfg.block_bytes
     }
 
+    fn retire_budget(&self) -> u64 {
+        self.cfg.sense_interval - self.insts_into_interval
+    }
+
     fn retire_instructions(&mut self, n: u64, cycle: u64) {
         self.insts_into_interval += n;
         while self.insts_into_interval >= self.cfg.sense_interval {
@@ -399,6 +403,17 @@ mod tests {
         let c = WayResizableICache::new(small());
         assert_eq!(c.active_ways(), 4);
         assert_eq!(c.active_size_bytes(), 4096);
+    }
+
+    #[test]
+    fn retire_budget_counts_down_to_the_interval_end() {
+        let mut c = WayResizableICache::new(small());
+        assert_eq!(c.retire_budget(), 1000);
+        c.retire_instructions(400, 400);
+        assert_eq!(c.retire_budget(), 600);
+        c.retire_instructions(600, 1000);
+        assert_eq!(c.retire_budget(), 1000);
+        assert_eq!(c.active_ways(), 3, "the boundary call sheds a way");
     }
 
     #[test]

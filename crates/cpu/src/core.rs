@@ -56,6 +56,20 @@
 //! one timing state exactly: a [`BackHalf`] times one i-cache and
 //! carries *followers* that see the same calls, and splits them off at
 //! their first disagreeing access (see [`BackHalf`]).
+//!
+//! ## Deferred retirement
+//!
+//! An adaptive i-cache acts on committed instructions only when a sense
+//! interval ends (paper §2.1); between ends, retiring one just counts.
+//! So a back half counts its committed instructions itself and hands
+//! them to every i-cache of its class in one
+//! [`InstCache::retire_instructions`] call when the smallest
+//! [`InstCache::retire_budget`] among them runs out. That call carries
+//! the commit cycle of the instruction that ends the interval, as a
+//! call per instruction would have; every other instruction's cycle
+//! goes unread, so deferring changes no record. [`BackHalf::finish`]
+//! flushes the remainder. A class whose i-caches retire nothing
+//! (budget `u64::MAX`: conventional, decay, way-memo) never calls.
 
 use crate::bpred::{HybridPredictor, PredictorConfig};
 use crate::config::CpuConfig;
@@ -383,6 +397,11 @@ struct Timing {
     rob_cursor: usize,
     commit_cursor: usize,
     lsq_cursor: usize,
+    // Deferred retirement: the instructions already handed to the
+    // i-caches, and the instruction count at which the smallest retire
+    // budget among them runs out.
+    retired: u64,
+    retire_at: u64,
     // Per-run constants hoisted out of the fetch loop.
     block_bits: u32,
     hit_latency: u64,
@@ -397,16 +416,19 @@ struct Timing {
 /// far.
 ///
 /// Every call a back half makes into an i-cache — `access(pc, cycle)`,
-/// `retire_instructions(1, commit)`, `finish(last_commit)` — takes its
-/// arguments from the stream and the timing state, so i-caches that
+/// `retire_instructions(n, commit)` when the class's smallest retire
+/// budget runs out (see the module docs), `finish(last_commit)` — takes
+/// its arguments from the stream and the timing state, so i-caches that
 /// have answered alike receive identical calls and the shared timing
 /// state is exactly each one's own. Each follower is probed with the
 /// same arguments as the leader; at the first access where some answer
 /// differently, those followers (who agree with each other: the outcome
 /// is a boolean) leave with a copy of the timing state taken before the
 /// access's effects, as a new back half that [`Self::consume`] returns.
-/// A back half without followers is the single-configuration case
-/// [`Core::run`] drives.
+/// The copy carries the instructions not yet handed over and the
+/// class's retire point, which is no later than any leaver's own
+/// budget allows. A back half without followers is the
+/// single-configuration case [`Core::run`] drives.
 #[derive(Debug)]
 pub struct BackHalf<IC: InstCache> {
     timing: Timing,
@@ -456,8 +478,10 @@ impl<IC: InstCache> BackHalf<IC> {
                 "a follower shares its leader's block size and hit latency"
             );
         }
+        let mut timing = Timing::new(cfg, &icache, hierarchy, ring_len);
+        timing.plan_retire(&icache, &followers);
         BackHalf {
-            timing: Timing::new(cfg, &icache, hierarchy, ring_len),
+            timing,
             icache,
             followers,
         }
@@ -527,10 +551,14 @@ impl<IC: InstCache> BackHalf<IC> {
         }
     }
 
-    /// Closes out the run so far: the cycle count is the last commit, and
-    /// every i-cache of the class settles its time-integrated accounting.
+    /// Closes out the run so far: the cycle count is the last commit,
+    /// every i-cache of the class hears of the instructions not yet
+    /// handed over, and each settles its time-integrated accounting.
     pub fn finish(&mut self) -> CpuStats {
         let t = &mut self.timing;
+        if t.stats.instructions > t.retired {
+            t.retire(&mut self.icache, &mut self.followers, t.last_commit);
+        }
         t.stats.cycles = t.last_commit;
         self.icache.finish(t.last_commit);
         for f in &mut self.followers {
@@ -578,6 +606,8 @@ impl Timing {
             rob_cursor: 0,
             commit_cursor: 0,
             lsq_cursor: 0,
+            retired: 0,
+            retire_at: u64::MAX,
             block_bits,
             hit_latency,
             classes,
@@ -603,6 +633,31 @@ impl Timing {
         for ring in &mut self.fu_slots {
             *ring = ring.grown(len, floor);
         }
+    }
+
+    /// Sets the next hand-over to where the smallest retire budget among
+    /// `icache` and `followers` runs out.
+    fn plan_retire<IC: InstCache>(&mut self, icache: &IC, followers: &[IC]) {
+        let budget = followers.iter().fold(icache.retire_budget(), |least, f| {
+            least.min(f.retire_budget())
+        });
+        assert!(budget > 0, "a retire budget is at least one instruction");
+        self.retire_at = self.retired.saturating_add(budget);
+    }
+
+    /// Hands every i-cache of the class the instructions committed since
+    /// the last hand-over, the last of them at `commit`, and plans the
+    /// next one. Out of line: it runs once per sense interval at most.
+    #[cold]
+    #[inline(never)]
+    fn retire<IC: InstCache>(&mut self, icache: &mut IC, followers: &mut [IC], commit: u64) {
+        let n = self.stats.instructions - self.retired;
+        icache.retire_instructions(n, commit);
+        for f in followers.iter_mut() {
+            f.retire_instructions(n, commit);
+        }
+        self.retired = self.stats.instructions;
+        self.plan_retire(icache, followers);
     }
 
     /// Probes every follower with the leader's access `(pc, cycle)`.
@@ -645,7 +700,9 @@ impl Timing {
     /// (every one of its i-caches made that access already). Followers
     /// that answer the access differently from `icache` are removed and
     /// pushed onto `pending` with a copy of the state before the
-    /// access's effects.
+    /// access's effects. The instruction retires into the class's count;
+    /// the i-caches hear of it only when the count reaches the retire
+    /// point ([`Self::retire`]).
     ///
     /// Always inlined: [`BackHalf::time_from`] calls it from two sites,
     /// and left to the inliner a single-configuration `Core::run`
@@ -775,11 +832,10 @@ impl Timing {
                 self.lsq_cursor = 0;
             }
         }
-        icache.retire_instructions(1, commit);
-        for f in followers.iter_mut() {
-            f.retire_instructions(1, commit);
-        }
         self.stats.instructions += 1;
+        if self.stats.instructions == self.retire_at {
+            self.retire(icache, followers, commit);
+        }
     }
 }
 

@@ -124,6 +124,14 @@ impl InstCache for Probe {
         32
     }
 
+    fn retire_budget(&self) -> u64 {
+        match &self.model {
+            Model::Conventional(c) => c.retire_budget(),
+            Model::Dri(c) => c.retire_budget(),
+            Model::Decay(c) => c.retire_budget(),
+        }
+    }
+
     fn retire_instructions(&mut self, n: u64, cycle: u64) {
         self.inner().retire_instructions(n, cycle);
     }

@@ -302,7 +302,10 @@ impl InstCache for Model {
         dispatch!(self, cache => cache.block_bytes())
     }
 
-    #[inline]
+    fn retire_budget(&self) -> u64 {
+        dispatch!(self, cache => cache.retire_budget())
+    }
+
     fn retire_instructions(&mut self, n: u64, cycle: u64) {
         dispatch!(self, cache => cache.retire_instructions(n, cycle))
     }
@@ -394,7 +397,10 @@ impl<C: InstCache> InstCache for Tagged<C> {
         self.cache.block_bytes()
     }
 
-    #[inline]
+    fn retire_budget(&self) -> u64 {
+        self.cache.retire_budget()
+    }
+
     fn retire_instructions(&mut self, n: u64, cycle: u64) {
         self.cache.retire_instructions(n, cycle);
     }

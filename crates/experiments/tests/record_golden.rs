@@ -9,9 +9,9 @@
 //! record is simulated — timing, i-cache accounting, interval
 //! bookkeeping — shows here first.
 
+use dri_core::DriConfig;
 use dri_experiments::persist::{encode_conventional, encode_dri};
 use dri_experiments::runner::{run_conventional_uncached, run_policy_uncached};
-use dri_core::DriConfig;
 use dri_experiments::{PolicyConfig, RunConfig, SimSession};
 use dri_store::hash::fnv64;
 use synth_workload::suite::Benchmark;
