@@ -42,8 +42,8 @@ pub trait InstCache {
     /// Block (line) size in bytes — fetch groups stop at block boundaries.
     fn block_bytes(&self) -> u64;
 
-    /// How many more committed instructions the cache can be told about
-    /// late: the instruction that ends the current sense interval, or
+    /// How many more committed instructions may retire up to and
+    /// including the one that ends the current sense interval, or
     /// `u64::MAX` for a cache whose retirement does nothing. Always at
     /// least 1. It changes only in [`Self::retire_instructions`].
     ///

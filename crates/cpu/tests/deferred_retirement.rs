@@ -182,7 +182,7 @@ impl InstCache for Probe {
 fn run_and_check(probes: &[Probe]) -> Vec<usize> {
     let g = Benchmark::Gcc.build();
     let mut front = FrontHalf::new(&g.program);
-    let mut rest = probes.to_vec().into_iter();
+    let mut rest = probes.iter().cloned();
     let leader = rest.next().expect("a leader");
     let mut classes = vec![BackHalf::with_followers(
         cpu(),

@@ -461,12 +461,12 @@ fn classes<C: InstCache>(jobs: Vec<(&RunConfig, C)>) -> Vec<ClassSpec<C>> {
 /// What placement weighs a thread's work by, per batch, in hundredths
 /// of one timing state's cost. Measured over the 15 quick benchmarks
 /// (600K instructions, median of 5 runs each, 2-CPU Xeon KVM guest): a
-/// DRI follower probed and retired alongside its leader costs 9–27% of
-/// the timing state (median 15%), and the front half 42–88% (median
-/// 80%).
+/// DRI follower probed alongside its leader, which hears of its
+/// retirements once per sense interval, costs 3–8% of the timing state
+/// (median 5.5%), and the front half 53–161% (median 108%).
 const TIMING_LOAD: usize = 100;
-const FOLLOWER_LOAD: usize = 15;
-const FRONT_LOAD: usize = 80;
+const FOLLOWER_LOAD: usize = 5;
+const FRONT_LOAD: usize = 100;
 
 /// The load a class of `icaches` i-caches puts on its thread.
 fn class_load(icaches: usize) -> usize {
