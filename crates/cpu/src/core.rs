@@ -32,10 +32,17 @@
 //! predictor sees control transfers in program order. So the simulator is
 //! split in two:
 //!
-//! * the [`FrontHalf`] — [`Machine::step`] plus the [`HybridPredictor`] —
+//! * the [`FrontHalf`] — the interpreter plus the [`HybridPredictor`] —
 //!   fills a packed batch of [`Event`]s, each carrying what timing needs
-//!   (pc, memory address, op class, scoreboard indices, control flags and
-//!   the prediction outcome) and nothing else;
+//!   (pc, memory address, the instruction's [`Template`] of op class and
+//!   scoreboard indices, control flags and the prediction outcome) and
+//!   nothing else. It is one pass of [`Machine::fill`] over the
+//!   program's predecoded instructions: the machine hands each committed
+//!   instruction's pc, template and memory address to the front half's
+//!   sink and calls the sink's predictor hook inline for control
+//!   transfers, so nothing that depends only on the static instruction
+//!   is worked out again per dynamic one ([`Machine::step`] is the same
+//!   code, one instruction at a time);
 //! * a [`BackHalf`] — one configuration's i-cache, data hierarchy, fetch
 //!   state, scheduling rings and counters — consumes a batch.
 //!
@@ -67,9 +74,11 @@
 //! [`InstCache::retire_budget`] among them runs out. That call carries
 //! the commit cycle of the instruction that ends the interval, as a
 //! call per instruction would have; every other instruction's cycle
-//! goes unread, so deferring changes no record. [`BackHalf::finish`]
-//! flushes the remainder. A class whose i-caches retire nothing
-//! (budget `u64::MAX`: conventional, decay, way-memo) never calls.
+//! goes unread, so deferring changes no record. A back half times each
+//! batch in runs that end at the retire point, so the per-instruction
+//! loop carries no check; [`BackHalf::finish`] flushes the remainder. A
+//! class whose i-caches retire nothing (budget `u64::MAX`: conventional,
+//! decay, way-memo) never calls.
 
 use crate::bpred::{HybridPredictor, PredictorConfig};
 use crate::config::CpuConfig;
@@ -77,8 +86,8 @@ use crate::stats::CpuStats;
 use cache_sim::cache::AccessKind;
 use cache_sim::hierarchy::{Hierarchy, HierarchyConfig};
 use cache_sim::icache::InstCache;
-use synth_workload::isa::{Inst, Op, OpClass};
-use synth_workload::machine::Machine;
+use synth_workload::isa::{OpClass, Template, NO_DST};
+use synth_workload::machine::{Commit, Control, Machine, Sink};
 use synth_workload::program::Program;
 
 /// Committed instructions per [`FrontHalf::drive`] batch. Large enough
@@ -180,9 +189,6 @@ const TAKEN: u8 = 1 << 1;
 const CORRECT: u8 = 1 << 2;
 /// [`Event::flags`] bit: a taken transfer's target was known at fetch.
 const BUBBLE_FREE: u8 = 1 << 3;
-/// Scoreboard slot for instructions that write no register: one past the
-/// 64 architectural ones, written but never read.
-const NO_DST: u8 = 64;
 
 /// One committed instruction as a back half sees it: everything timing
 /// reads, already interpreted and predicted.
@@ -191,48 +197,11 @@ pub struct Event {
     pc: u64,
     /// Effective address of a load or store (0 otherwise).
     mem_addr: u64,
-    /// `OpClass as u8`: the index into a back half's per-class tables.
-    class: u8,
-    src1: u8,
-    src2: u8,
-    dst: u8,
+    /// The instruction's template: its class (the index into a back
+    /// half's per-class tables) and scoreboard indices. The scoreboard
+    /// slot [`NO_DST`] is written but never read.
+    template: Template,
     flags: u8,
-}
-
-/// Maps the two source registers to scoreboard indices (integer regs
-/// occupy 0..32, FP regs 32..64). `FStore` mixes the files: an integer
-/// address base and an FP data source.
-fn src_indices(inst: &Inst) -> (u8, u8) {
-    match inst.op {
-        Op::FAdd | Op::FMul | Op::FDiv => (32 + inst.rs1, 32 + inst.rs2),
-        Op::FStore => (inst.rs1, 32 + inst.rs2),
-        _ => (inst.rs1, inst.rs2),
-    }
-}
-
-/// Maps the destination register to a scoreboard index ([`NO_DST`] when
-/// the instruction writes none).
-fn dst_index(inst: &Inst) -> u8 {
-    match inst.op {
-        Op::FAdd | Op::FMul | Op::FDiv | Op::FLoad => 32 + inst.rd,
-        Op::Add
-        | Op::Sub
-        | Op::And
-        | Op::Or
-        | Op::Xor
-        | Op::Slt
-        | Op::Addi
-        | Op::Mul
-        | Op::Div
-        | Op::Load => {
-            if inst.rd == 0 {
-                NO_DST // r0 is hardwired
-            } else {
-                inst.rd
-            }
-        }
-        _ => NO_DST,
-    }
 }
 
 /// The timing-independent half of a simulation: the functional machine
@@ -261,43 +230,19 @@ impl<'p> FrontHalf<'p> {
     }
 
     /// Interprets and predicts up to `n` more instructions into `batch`
-    /// (fewer once the program halts).
+    /// (fewer once the program halts): one pass of [`Machine::fill`]
+    /// that predicts each control transfer as it executes and copies
+    /// each instruction's template into its event.
     fn fill(&mut self, batch: &mut Vec<Event>, n: usize) {
         batch.clear();
         batch.reserve(n);
-        for _ in 0..n {
-            let Some(r) = self.machine.step() else {
-                break;
-            };
-            let op = r.inst.op;
-            let (src1, src2) = src_indices(&r.inst);
-            let mut flags = 0;
-            if op.is_control() {
-                let (correct, bubble_free) = match op {
-                    Op::Beq | Op::Bne | Op::Blt | Op::Bge => {
-                        let o = self.predictor.conditional(r.pc, r.taken, r.next_pc);
-                        (o.correct, o.btb_hit)
-                    }
-                    Op::Jump => (true, self.predictor.unconditional(r.pc, r.next_pc)),
-                    Op::Call => (true, self.predictor.call(r.pc, r.next_pc)),
-                    Op::Ret => (self.predictor.ret(r.next_pc), true),
-                    _ => unreachable!("control op"),
-                };
-                flags = CONTROL
-                    | if r.taken { TAKEN } else { 0 }
-                    | if correct { CORRECT } else { 0 }
-                    | if bubble_free { BUBBLE_FREE } else { 0 };
-            }
-            batch.push(Event {
-                pc: r.pc,
-                mem_addr: r.mem_addr.unwrap_or(0),
-                class: op.class() as u8,
-                src1,
-                src2,
-                dst: dst_index(&r.inst),
-                flags,
-            });
-        }
+        self.machine.fill(
+            n,
+            &mut Packer {
+                predictor: &mut self.predictor,
+                batch,
+            },
+        );
     }
 
     /// The simulation loop: feeds up to `budget` committed instructions,
@@ -337,6 +282,41 @@ impl<'p> FrontHalf<'p> {
             }
         }
         driven
+    }
+}
+
+/// The [`FrontHalf`]'s sink: predicts control transfers and packs events.
+struct Packer<'a> {
+    predictor: &'a mut HybridPredictor,
+    batch: &'a mut Vec<Event>,
+}
+
+impl Sink for Packer<'_> {
+    #[inline(always)]
+    fn control(&mut self, kind: Control, pc: u64, taken: bool, next_pc: u64) -> u8 {
+        let (correct, bubble_free) = match kind {
+            Control::Conditional => {
+                let o = self.predictor.conditional(pc, taken, next_pc);
+                (o.correct, o.btb_hit)
+            }
+            Control::Jump => (true, self.predictor.unconditional(pc, next_pc)),
+            Control::Call => (true, self.predictor.call(pc, next_pc)),
+            Control::Return => (self.predictor.ret(next_pc), true),
+        };
+        CONTROL
+            | if taken { TAKEN } else { 0 }
+            | if correct { CORRECT } else { 0 }
+            | if bubble_free { BUBBLE_FREE } else { 0 }
+    }
+
+    #[inline(always)]
+    fn commit(&mut self, c: Commit) {
+        self.batch.push(Event {
+            pc: c.pc,
+            mem_addr: c.mem_addr,
+            template: c.template,
+            flags: c.control,
+        });
     }
 }
 
@@ -530,7 +510,9 @@ impl<IC: InstCache> BackHalf<IC> {
     }
 
     /// Times `batch[start..]`; the first event's fetch outcome is
-    /// `forced` when the class resumes from a split.
+    /// `forced` when the class resumes from a split. The batch is timed
+    /// in runs that end where the class's retire point falls, so the
+    /// per-instruction loop carries no retire check.
     fn time_from(
         &mut self,
         batch: &[Event],
@@ -538,16 +520,20 @@ impl<IC: InstCache> BackHalf<IC> {
         forced: Option<bool>,
         pending: &mut Vec<Fork<IC>>,
     ) {
-        let (icache, followers) = (&mut self.icache, &mut self.followers);
+        let (t, icache, followers) = (&mut self.timing, &mut self.icache, &mut self.followers);
         let mut at = start;
         if forced.is_some() {
-            self.timing
-                .time(&batch[at], icache, followers, forced, at, pending);
+            t.time(&batch[at], icache, followers, forced, at, pending);
             at += 1;
+            t.retire_if_due(icache, followers);
         }
-        for e in &batch[at..] {
-            self.timing.time(e, icache, followers, None, at, pending);
-            at += 1;
+        while at < batch.len() {
+            let end = at + t.until_retire().min(batch.len() - at);
+            for (e, i) in batch[at..end].iter().zip(at..) {
+                t.time(e, icache, followers, None, i, pending);
+            }
+            at = end;
+            t.retire_if_due(icache, followers);
         }
     }
 
@@ -645,6 +631,22 @@ impl Timing {
         self.retire_at = self.retired.saturating_add(budget);
     }
 
+    /// Instructions left to time before the class's retire point (at
+    /// least one).
+    fn until_retire(&self) -> usize {
+        usize::try_from(self.retire_at - self.stats.instructions).unwrap_or(usize::MAX)
+    }
+
+    /// Hands the class's i-caches their instructions if the count has
+    /// reached the retire point; the last instruction timed ended the
+    /// interval, and `last_commit` is its commit cycle.
+    #[inline]
+    fn retire_if_due<IC: InstCache>(&mut self, icache: &mut IC, followers: &mut [IC]) {
+        if self.stats.instructions == self.retire_at {
+            self.retire(icache, followers, self.last_commit);
+        }
+    }
+
     /// Hands every i-cache of the class the instructions committed since
     /// the last hand-over, the last of them at `commit`, and plans the
     /// next one. Out of line: it runs once per sense interval at most.
@@ -702,7 +704,8 @@ impl Timing {
     /// pushed onto `pending` with a copy of the state before the
     /// access's effects. The instruction retires into the class's count;
     /// the i-caches hear of it only when the count reaches the retire
-    /// point ([`Self::retire`]).
+    /// point, which [`BackHalf::time_from`] checks between runs of
+    /// instructions, never inside one.
     ///
     /// Always inlined: [`BackHalf::time_from`] calls it from two sites,
     /// and left to the inliner a single-configuration `Core::run`
@@ -755,11 +758,12 @@ impl Timing {
         let dispatch_ready = fetch_cycle + self.hit_latency + self.cfg.frontend_latency;
 
         // --- Schedule ---------------------------------------------------
-        let class = self.classes[usize::from(e.class)];
+        let t = e.template;
+        let class = self.classes[usize::from(t.class)];
         let mut ready = dispatch_ready
-            .max(self.reg_ready[usize::from(e.src1)])
-            .max(self.reg_ready[usize::from(e.src2)]);
-        let is_mem = e.class == LOAD || e.class == STORE;
+            .max(self.reg_ready[usize::from(t.src1)])
+            .max(self.reg_ready[usize::from(t.src2)]);
+        let is_mem = t.class == LOAD || t.class == STORE;
         if is_mem {
             ready = ready.max(self.lsq_ring[self.lsq_cursor]);
         }
@@ -778,7 +782,7 @@ impl Timing {
         self.issue_slots.book(issue);
         self.fu_slots[class.pool].book(issue);
 
-        let latency = match e.class {
+        let latency = match t.class {
             LOAD => {
                 self.stats.loads += 1;
                 self.hierarchy.data_access(e.mem_addr, AccessKind::Read)
@@ -791,7 +795,7 @@ impl Timing {
             _ => class.latency,
         };
         let complete = issue + latency;
-        self.reg_ready[usize::from(e.dst)] = complete;
+        self.reg_ready[usize::from(t.dst)] = complete;
 
         // --- Control ----------------------------------------------------
         if e.flags & CONTROL != 0 {
@@ -833,9 +837,6 @@ impl Timing {
             }
         }
         self.stats.instructions += 1;
-        if self.stats.instructions == self.retire_at {
-            self.retire(icache, followers, commit);
-        }
     }
 }
 
@@ -904,10 +905,14 @@ impl<'p, IC: InstCache> Core<'p, IC> {
 }
 
 #[cfg(test)]
+mod stream_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use cache_sim::icache::ConventionalICache;
     use synth_workload::generator::{generate, GeneratorSpec};
+    use synth_workload::isa::{Inst, Op};
     use synth_workload::suite::Benchmark;
 
     fn run_bench(spec: &GeneratorSpec, budget: u64) -> (RunResult, CpuStats) {

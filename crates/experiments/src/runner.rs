@@ -463,10 +463,11 @@ fn classes<C: InstCache>(jobs: Vec<(&RunConfig, C)>) -> Vec<ClassSpec<C>> {
 /// (600K instructions, median of 5 runs each, 2-CPU Xeon KVM guest): a
 /// DRI follower probed alongside its leader, which hears of its
 /// retirements once per sense interval, costs 3–8% of the timing state
-/// (median 5.5%), and the front half 53–161% (median 108%).
+/// (median 5.5%), and the front half, which interprets a predecoded
+/// program, 39–52% (medians 45% and 47% in two runs).
 const TIMING_LOAD: usize = 100;
 const FOLLOWER_LOAD: usize = 5;
-const FRONT_LOAD: usize = 100;
+const FRONT_LOAD: usize = 45;
 
 /// The load a class of `icaches` i-caches puts on its thread.
 fn class_load(icaches: usize) -> usize {

@@ -1,7 +1,6 @@
 //! A tiny assembler: emits instructions with labels and forward references.
 
 use crate::isa::{Inst, Op, Reg, INST_BYTES};
-use std::collections::HashMap;
 
 /// An opaque label handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -12,8 +11,8 @@ pub struct Label(usize);
 pub struct CodeBuilder {
     base: u64,
     insts: Vec<Inst>,
-    next_label: usize,
-    bound: HashMap<Label, u64>,
+    /// Each label's address once bound, by label number.
+    bound: Vec<Option<u64>>,
     fixups: Vec<(usize, Label)>,
 }
 
@@ -33,9 +32,8 @@ impl CodeBuilder {
 
     /// Creates a fresh, unbound label.
     pub fn label(&mut self) -> Label {
-        let l = Label(self.next_label);
-        self.next_label += 1;
-        l
+        self.bound.push(None);
+        Label(self.bound.len() - 1)
     }
 
     /// Binds `label` to the current position.
@@ -44,8 +42,10 @@ impl CodeBuilder {
     ///
     /// Panics if the label was already bound.
     pub fn bind(&mut self, label: Label) {
-        let prev = self.bound.insert(label, self.here());
-        assert!(prev.is_none(), "label bound twice");
+        let here = self.here();
+        let slot = &mut self.bound[label.0];
+        assert!(slot.is_none(), "label bound twice");
+        *slot = Some(here);
     }
 
     /// Emits a raw instruction.
@@ -114,9 +114,8 @@ impl CodeBuilder {
             addr.is_multiple_of(INST_BYTES),
             "unaligned pad target {addr:#x}"
         );
-        while self.here() < addr {
-            self.push(Inst::nop());
-        }
+        let len = ((addr - self.base) / INST_BYTES) as usize;
+        self.insts.resize(len, Inst::nop());
     }
 
     /// Resolves all fixups and returns the instruction vector.
@@ -126,10 +125,7 @@ impl CodeBuilder {
     /// Panics if any referenced label was never bound.
     pub fn finish(mut self) -> Vec<Inst> {
         for (idx, label) in &self.fixups {
-            let addr = *self
-                .bound
-                .get(label)
-                .unwrap_or_else(|| panic!("label {label:?} never bound"));
+            let addr = self.bound[label.0].unwrap_or_else(|| panic!("label {label:?} never bound"));
             self.insts[*idx].imm = addr as i64;
         }
         self.insts

@@ -433,6 +433,7 @@ pub fn generate(spec: &GeneratorSpec) -> Generated {
         }
     }
 
+    // Decoding checks every control-flow target.
     let program = Program::new(
         spec.name.clone(),
         CODE_BASE,
@@ -441,7 +442,6 @@ pub fn generate(spec: &GeneratorSpec) -> Generated {
         data_bytes,
         spec.seed ^ 0xDA7A,
     );
-    program.validate();
     Generated {
         program,
         cycle_instructions,
@@ -621,7 +621,7 @@ mod tests {
         let spec = GeneratorSpec::basic("t", 4 * 1024, 100_000);
         let a = generate(&spec);
         let b = generate(&spec);
-        assert_eq!(a.program.insts(), b.program.insts());
+        assert_eq!(a.program.decoded(), b.program.decoded());
         assert_eq!(a.cycle_instructions, b.cycle_instructions);
     }
 

@@ -8,9 +8,12 @@
 //!
 //! * [`isa`] — the instruction set (integer/FP ALU, loads/stores,
 //!   branches, calls);
-//! * [`program`] — code images with data-segment metadata;
+//! * [`program`] — code images with data-segment metadata, decoded once
+//!   when built (each instruction carries its timing [`Template`] and
+//!   resolved branch target);
 //! * [`machine`] — the functional interpreter producing the committed
-//!   instruction stream (execution-driven, fully deterministic);
+//!   instruction stream (execution-driven, fully deterministic), a batch
+//!   at a time into a [`Sink`];
 //! * [`builder`] — a tiny assembler with labels;
 //! * [`generator`] — phase/routine-structured program generation with
 //!   control over footprint, phases, branch predictability, layout
@@ -39,7 +42,7 @@ pub mod program;
 pub mod suite;
 
 pub use generator::{Generated, GeneratorSpec, PhaseSpec, ScheduleEntry};
-pub use isa::{Inst, Op, OpClass};
-pub use machine::{Machine, Retired, RunSummary};
-pub use program::Program;
+pub use isa::{Inst, Op, OpClass, Template};
+pub use machine::{Commit, Control, Machine, Retired, RunSummary, Sink};
+pub use program::{Decoded, Program};
 pub use suite::{BenchClass, Benchmark};

@@ -6,9 +6,15 @@
 //! addresses all come from actually running the generated code, not from a
 //! statistical trace. Everything is deterministic given the program (data
 //! memory is initialised from the program's seed).
+//!
+//! There is one interpreter, [`Machine::fill`]: it runs the program's
+//! [`Decoded`] instructions by index and hands each committed one to a
+//! [`Sink`], calling the sink's [`Sink::control`] hook inline for control
+//! transfers. [`Machine::step`] and [`Machine::run`] are fills of one
+//! instruction and of a budget.
 
-use crate::isa::{Inst, Op, NUM_FP_REGS, NUM_INT_REGS};
-use crate::program::Program;
+use crate::isa::{Inst, Op, OpClass, Template, INST_BYTES, NO_DST};
+use crate::program::{Decoded, Program};
 
 /// Maximum call depth before the machine declares a generator bug.
 const MAX_CALL_DEPTH: usize = 4096;
@@ -39,15 +45,94 @@ pub struct RunSummary {
     pub halted: bool,
 }
 
+/// The kind of a control transfer, as [`Sink::control`] hears of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Control {
+    /// A conditional branch (`Beq`, `Bne`, `Blt`, `Bge`).
+    Conditional,
+    /// An unconditional jump.
+    Jump,
+    /// A call (the return address is the next instruction's).
+    Call,
+    /// A return; on an empty call stack it halts, not taken, with
+    /// `next_pc` equal to its own pc.
+    Return,
+}
+
+/// One committed instruction as [`Machine::fill`] hands it to a [`Sink`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Commit {
+    /// Address of the instruction.
+    pub pc: u64,
+    /// Its timing template.
+    pub template: Template,
+    /// Effective address of a load or store (0 otherwise).
+    pub mem_addr: u64,
+    /// Whether a control transfer was taken.
+    pub taken: bool,
+    /// Address of the next committed instruction.
+    pub next_pc: u64,
+    /// What [`Sink::control`] returned for a control transfer (0
+    /// otherwise).
+    pub control: u8,
+}
+
+/// What [`Machine::fill`] hands the committed stream to.
+pub trait Sink {
+    /// Hears of a control transfer of `kind` at `pc`, before it commits;
+    /// what it returns comes back as [`Commit::control`]. By default it
+    /// returns 0.
+    #[inline]
+    fn control(&mut self, kind: Control, pc: u64, taken: bool, next_pc: u64) -> u8 {
+        let _ = (kind, pc, taken, next_pc);
+        0
+    }
+
+    /// Takes one committed instruction.
+    fn commit(&mut self, c: Commit);
+}
+
+/// A sink that keeps nothing ([`Machine::run`]).
+struct Discard;
+
+impl Sink for Discard {
+    #[inline]
+    fn commit(&mut self, _: Commit) {}
+}
+
+/// A sink that keeps the one instruction of a [`Machine::step`].
+struct One<'p> {
+    program: &'p Program,
+    retired: Option<Retired>,
+}
+
+impl Sink for One<'_> {
+    fn commit(&mut self, c: Commit) {
+        let class = c.template.class;
+        let is_mem = class == OpClass::Load as u8 || class == OpClass::Store as u8;
+        self.retired = Some(Retired {
+            pc: c.pc,
+            inst: self.program.inst_at(c.pc),
+            next_pc: c.next_pc,
+            taken: c.taken,
+            mem_addr: is_mem.then_some(c.mem_addr),
+        });
+    }
+}
+
 /// Architectural state + interpreter.
 #[derive(Debug, Clone)]
 pub struct Machine<'p> {
     program: &'p Program,
-    pc: u64,
-    int_regs: [i64; NUM_INT_REGS],
-    fp_regs: [f64; NUM_FP_REGS],
+    /// Index of the next instruction.
+    at: usize,
+    /// Both register files at their unified indices ([`Template`]): the
+    /// integer registers, the FP registers as `f64` bits, and the slot
+    /// [`NO_DST`] that writes of no register (or of `r0`) land in.
+    regs: [i64; NO_DST as usize + 1],
     data: Vec<i64>,
-    call_stack: Vec<u64>,
+    /// Return addresses, as instruction indices.
+    call_stack: Vec<usize>,
     retired: u64,
     halted: bool,
 }
@@ -60,6 +145,42 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+fn fp(bits: i64) -> f64 {
+    f64::from_bits(bits as u64)
+}
+
+fn bits(v: f64) -> i64 {
+    v.to_bits() as i64
+}
+
+/// The result of an integer ALU op (`Add` through `Mul`, declared in
+/// that order): every candidate is computed and one is picked by the
+/// op's index, so these ops share one arm of the interpreter's dispatch
+/// with no branch per op.
+#[inline(always)]
+fn alu(op: Op, a: i64, b: i64, imm: i64) -> i64 {
+    let b = if op == Op::Addi { imm } else { b };
+    let results = [
+        a.wrapping_add(b),
+        a.wrapping_sub(b),
+        a & b,
+        a | b,
+        a ^ b,
+        i64::from(a < b),
+        a.wrapping_add(b),
+        a.wrapping_mul(b),
+    ];
+    results[(op as usize - Op::Add as usize) & 7]
+}
+
+/// Whether a conditional branch (`Beq` through `Bge`, declared in that
+/// order) is taken, picked without a branch per op like [`alu`].
+#[inline(always)]
+fn condition(op: Op, a: i64, b: i64) -> bool {
+    let (eq, lt) = (a == b, a < b);
+    [eq, !eq, lt, !lt][(op as usize - Op::Beq as usize) & 3]
+}
+
 impl<'p> Machine<'p> {
     /// Boots a machine at the program entry with seeded data memory.
     pub fn new(program: &'p Program) -> Self {
@@ -70,9 +191,8 @@ impl<'p> Machine<'p> {
             .collect();
         Machine {
             program,
-            pc: program.entry(),
-            int_regs: [0; NUM_INT_REGS],
-            fp_regs: [0.0; NUM_FP_REGS],
+            at: 0,
+            regs: [0; NO_DST as usize + 1],
             data,
             call_stack: Vec::new(),
             retired: 0,
@@ -82,7 +202,7 @@ impl<'p> Machine<'p> {
 
     /// Current program counter.
     pub fn pc(&self) -> u64 {
-        self.pc
+        self.program.addr_of(self.at)
     }
 
     /// Whether the program has halted.
@@ -97,12 +217,8 @@ impl<'p> Machine<'p> {
 
     /// Reads an integer register (tests/debugging).
     pub fn int_reg(&self, r: u8) -> i64 {
-        self.int_regs[r as usize]
-    }
-
-    fn write_int(&mut self, r: u8, v: i64) {
-        self.int_regs[r as usize] = v;
-        self.int_regs[0] = 0; // r0 is hardwired to zero
+        assert!(r < 32, "integer register {r} out of range");
+        self.regs[r as usize]
     }
 
     #[inline]
@@ -117,144 +233,141 @@ impl<'p> Machine<'p> {
         ((addr - base) / 8) as usize
     }
 
+    /// The interpreter: executes up to `n` instructions, handing each
+    /// committed one to `sink` (and each control transfer to
+    /// [`Sink::control`] first). Returns how many committed — fewer than
+    /// `n` only once the program halts; the halting instruction commits.
+    ///
+    /// # Panics
+    ///
+    /// Panics on malformed programs (out-of-segment or unaligned memory
+    /// accesses, runaway recursion, running off the end of the code) —
+    /// generator bugs, not workload events. Branch targets were checked
+    /// when the program was built.
+    #[inline]
+    pub fn fill<S: Sink>(&mut self, n: usize, sink: &mut S) -> usize {
+        let code: &[Decoded] = self.program.decoded();
+        let base = self.program.base_addr();
+        let mut done = 0;
+        while done < n && !self.halted {
+            let at = self.at;
+            let d = code[at];
+            let t = d.template;
+            let pc = base + at as u64 * INST_BYTES;
+            let s1 = self.regs[usize::from(t.src1)];
+            let s2 = self.regs[usize::from(t.src2)];
+            let dst = usize::from(t.dst);
+            let mut next = at + 1;
+            let mut taken = false;
+            let mut mem_addr = 0;
+            let mut control = 0;
+            let target = |i: usize| base + i as u64 * INST_BYTES;
+            macro_rules! branch {
+                ($taken:expr) => {{
+                    taken = $taken;
+                    if taken {
+                        next = d.arg as usize;
+                    }
+                    control = sink.control(Control::Conditional, pc, taken, target(next));
+                }};
+            }
+
+            match d.op {
+                Op::Add | Op::Sub | Op::And | Op::Or | Op::Xor | Op::Slt | Op::Addi | Op::Mul => {
+                    self.regs[dst] = alu(d.op, s1, s2, d.arg)
+                }
+                Op::Div => self.regs[dst] = if s2 == 0 { 0 } else { s1.wrapping_div(s2) },
+                Op::FAdd => self.regs[dst] = bits(fp(s1) + fp(s2)),
+                Op::FMul => self.regs[dst] = bits(fp(s1) * fp(s2)),
+                Op::FDiv => {
+                    let (a, b) = (fp(s1), fp(s2));
+                    self.regs[dst] = bits(if b == 0.0 { 0.0 } else { a / b });
+                }
+                // An FP load or store moves the register's bits unchanged.
+                Op::Load | Op::FLoad => {
+                    let addr = (s1 + d.arg) as u64;
+                    let idx = self.mem_index(addr);
+                    mem_addr = addr;
+                    self.regs[dst] = self.data[idx];
+                }
+                Op::Store | Op::FStore => {
+                    let addr = (s1 + d.arg) as u64;
+                    let idx = self.mem_index(addr);
+                    mem_addr = addr;
+                    self.data[idx] = s2;
+                }
+                Op::Beq | Op::Bne | Op::Blt | Op::Bge => branch!(condition(d.op, s1, s2)),
+                Op::Jump => {
+                    next = d.arg as usize;
+                    taken = true;
+                    control = sink.control(Control::Jump, pc, taken, target(next));
+                }
+                Op::Call => {
+                    assert!(
+                        self.call_stack.len() < MAX_CALL_DEPTH,
+                        "call stack overflow at {pc:#x} (generator bug)"
+                    );
+                    self.call_stack.push(at + 1);
+                    next = d.arg as usize;
+                    taken = true;
+                    control = sink.control(Control::Call, pc, taken, target(next));
+                }
+                Op::Ret => {
+                    match self.call_stack.pop() {
+                        Some(ra) => {
+                            next = ra;
+                            taken = true;
+                        }
+                        None => {
+                            self.halted = true;
+                            next = at;
+                        }
+                    }
+                    control = sink.control(Control::Return, pc, taken, target(next));
+                }
+                Op::Nop => {}
+                Op::Halt => {
+                    self.halted = true;
+                    next = at;
+                }
+            }
+
+            sink.commit(Commit {
+                pc,
+                template: t,
+                mem_addr,
+                taken,
+                next_pc: target(next),
+                control,
+            });
+            self.at = next;
+            done += 1;
+        }
+        self.retired += done as u64;
+        done
+    }
+
     /// Executes one instruction; returns `None` once halted.
     ///
     /// # Panics
     ///
-    /// Panics on malformed programs (wild jumps, out-of-segment memory
-    /// accesses, runaway recursion) — generator bugs, not workload events.
-    #[inline]
+    /// As [`Self::fill`].
     pub fn step(&mut self) -> Option<Retired> {
-        if self.halted {
-            return None;
-        }
-        let pc = self.pc;
-        let inst = self.program.inst_at_fast(pc);
-        let mut next_pc = pc + 4;
-        let mut taken = false;
-        let mut mem_addr = None;
-
-        let rs1 = self.int_regs[inst.rs1 as usize];
-        let rs2 = self.int_regs[inst.rs2 as usize];
-        // FP operands are read lazily: most dynamic instructions are
-        // integer ops, and two unconditional f64 loads per step show up at
-        // interpreter rates.
-        let fs1 = |m: &Self| m.fp_regs[inst.rs1 as usize];
-        let fs2 = |m: &Self| m.fp_regs[inst.rs2 as usize];
-
-        match inst.op {
-            Op::Add => self.write_int(inst.rd, rs1.wrapping_add(rs2)),
-            Op::Sub => self.write_int(inst.rd, rs1.wrapping_sub(rs2)),
-            Op::And => self.write_int(inst.rd, rs1 & rs2),
-            Op::Or => self.write_int(inst.rd, rs1 | rs2),
-            Op::Xor => self.write_int(inst.rd, rs1 ^ rs2),
-            Op::Slt => self.write_int(inst.rd, i64::from(rs1 < rs2)),
-            Op::Addi => self.write_int(inst.rd, rs1.wrapping_add(inst.imm)),
-            Op::Mul => self.write_int(inst.rd, rs1.wrapping_mul(rs2)),
-            Op::Div => self.write_int(inst.rd, if rs2 == 0 { 0 } else { rs1.wrapping_div(rs2) }),
-            Op::FAdd => self.fp_regs[inst.rd as usize] = fs1(self) + fs2(self),
-            Op::FMul => self.fp_regs[inst.rd as usize] = fs1(self) * fs2(self),
-            Op::FDiv => {
-                let (a, b) = (fs1(self), fs2(self));
-                self.fp_regs[inst.rd as usize] = if b == 0.0 { 0.0 } else { a / b }
-            }
-            Op::Load => {
-                let addr = (rs1 + inst.imm) as u64;
-                let idx = self.mem_index(addr);
-                mem_addr = Some(addr);
-                let v = self.data[idx];
-                self.write_int(inst.rd, v);
-            }
-            Op::Store => {
-                let addr = (rs1 + inst.imm) as u64;
-                let idx = self.mem_index(addr);
-                mem_addr = Some(addr);
-                self.data[idx] = rs2;
-            }
-            Op::FLoad => {
-                let addr = (rs1 + inst.imm) as u64;
-                let idx = self.mem_index(addr);
-                mem_addr = Some(addr);
-                self.fp_regs[inst.rd as usize] = f64::from_bits(self.data[idx] as u64);
-            }
-            Op::FStore => {
-                let addr = (rs1 + inst.imm) as u64;
-                let idx = self.mem_index(addr);
-                mem_addr = Some(addr);
-                self.data[idx] = fs2(self).to_bits() as i64;
-            }
-            Op::Beq => {
-                if rs1 == rs2 {
-                    next_pc = inst.imm as u64;
-                    taken = true;
-                }
-            }
-            Op::Bne => {
-                if rs1 != rs2 {
-                    next_pc = inst.imm as u64;
-                    taken = true;
-                }
-            }
-            Op::Blt => {
-                if rs1 < rs2 {
-                    next_pc = inst.imm as u64;
-                    taken = true;
-                }
-            }
-            Op::Bge => {
-                if rs1 >= rs2 {
-                    next_pc = inst.imm as u64;
-                    taken = true;
-                }
-            }
-            Op::Jump => {
-                next_pc = inst.imm as u64;
-                taken = true;
-            }
-            Op::Call => {
-                assert!(
-                    self.call_stack.len() < MAX_CALL_DEPTH,
-                    "call stack overflow at {pc:#x} (generator bug)"
-                );
-                self.call_stack.push(pc + 4);
-                next_pc = inst.imm as u64;
-                taken = true;
-            }
-            Op::Ret => match self.call_stack.pop() {
-                Some(ra) => {
-                    next_pc = ra;
-                    taken = true;
-                }
-                None => {
-                    self.halted = true;
-                    next_pc = pc;
-                }
-            },
-            Op::Nop => {}
-            Op::Halt => {
-                self.halted = true;
-                next_pc = pc;
-            }
-        }
-
-        self.pc = next_pc;
-        self.retired += 1;
-        Some(Retired {
-            pc,
-            inst,
-            next_pc,
-            taken,
-            mem_addr,
-        })
+        let mut one = One {
+            program: self.program,
+            retired: None,
+        };
+        self.fill(1, &mut one);
+        one.retired
     }
 
     /// Runs up to `budget` instructions (or until halt).
     pub fn run(&mut self, budget: u64) -> RunSummary {
         let start = self.retired;
-        while self.retired - start < budget {
-            if self.step().is_none() {
-                break;
-            }
+        let mut left = budget;
+        while left > 0 && !self.halted {
+            let n = usize::try_from(left).unwrap_or(usize::MAX);
+            left -= self.fill(n, &mut Discard) as u64;
         }
         RunSummary {
             retired: self.retired - start,
@@ -384,6 +497,94 @@ mod tests {
         let p = prog(vec![Inst::new(Op::Load, 8, 0, 0, 64)]);
         let mut m = Machine::new(&p);
         m.run(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "unaligned memory access")]
+    fn unaligned_memory_access_panics() {
+        let p = prog(vec![
+            Inst::new(Op::Addi, 8, 0, 0, 0x10_0004),
+            Inst::new(Op::Store, 0, 8, 0, 0),
+        ]);
+        Machine::new(&p).run(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "call stack overflow")]
+    fn runaway_recursion_panics() {
+        let p = prog(vec![Inst::new(Op::Call, 0, 0, 0, 0x1000)]);
+        Machine::new(&p).run(u64::MAX);
+    }
+
+    #[test]
+    fn fill_hands_over_what_step_returns() {
+        // A loop with loads, stores, a call and a return, then a halt.
+        let p = prog(vec![
+            Inst::new(Op::Addi, 8, 0, 0, 0x10_0000),
+            Inst::new(Op::Addi, 9, 0, 0, 3),
+            Inst::new(Op::Call, 0, 0, 0, 0x1018),
+            Inst::new(Op::Addi, 9, 9, 0, -1),
+            Inst::new(Op::Bne, 0, 9, 0, 0x1008),
+            Inst::new(Op::Halt, 0, 0, 0, 0),
+            Inst::new(Op::FLoad, 2, 8, 0, 8),
+            Inst::new(Op::FStore, 0, 8, 2, 16),
+            Inst::new(Op::Ret, 0, 0, 0, 0),
+        ]);
+        struct Keep(Vec<Commit>);
+        impl Sink for Keep {
+            fn control(&mut self, kind: Control, _: u64, _: bool, _: u64) -> u8 {
+                kind as u8 + 1
+            }
+            fn commit(&mut self, c: Commit) {
+                self.0.push(c);
+            }
+        }
+        let mut batched = Machine::new(&p);
+        let mut keep = Keep(Vec::new());
+        assert_eq!(batched.fill(100, &mut keep), 21, "the halt commits");
+        assert!(batched.is_halted());
+        assert_eq!(batched.fill(100, &mut keep), 0);
+        let mut stepped = Machine::new(&p);
+        for c in &keep.0 {
+            let r = stepped.step().expect("not yet halted");
+            assert_eq!((r.pc, r.next_pc, r.taken), (c.pc, c.next_pc, c.taken));
+            assert_eq!(r.mem_addr.unwrap_or(0), c.mem_addr);
+            assert_eq!(c.template, Template::of(&r.inst));
+            assert_eq!(c.control != 0, r.inst.op.is_control());
+        }
+        assert!(stepped.step().is_none());
+    }
+
+    #[test]
+    fn shared_arms_compute_each_op() {
+        let values = [0, 1, -1, 7, -7, i64::MAX, i64::MIN, 0x5555];
+        for a in values {
+            for b in values {
+                let imm = b.wrapping_mul(3);
+                let expect = [
+                    (Op::Add, a.wrapping_add(b)),
+                    (Op::Sub, a.wrapping_sub(b)),
+                    (Op::And, a & b),
+                    (Op::Or, a | b),
+                    (Op::Xor, a ^ b),
+                    (Op::Slt, i64::from(a < b)),
+                    (Op::Addi, a.wrapping_add(imm)),
+                    (Op::Mul, a.wrapping_mul(b)),
+                ];
+                for (op, v) in expect {
+                    assert_eq!(alu(op, a, b, imm), v, "{op:?} {a} {b}");
+                }
+                let taken = [
+                    (Op::Beq, a == b),
+                    (Op::Bne, a != b),
+                    (Op::Blt, a < b),
+                    (Op::Bge, a >= b),
+                ];
+                for (op, t) in taken {
+                    assert_eq!(condition(op, a, b), t, "{op:?} {a} {b}");
+                }
+            }
+        }
     }
 
     #[test]

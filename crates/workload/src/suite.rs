@@ -405,14 +405,12 @@ mod tests {
         let has_fp = g
             .program
             .insts()
-            .iter()
             .any(|i| i.op.writes_fp() || i.op.reads_fp());
         assert!(has_fp, "swim should contain FP work");
         let g = Benchmark::Compress.build();
         let has_fp = g
             .program
             .insts()
-            .iter()
             .any(|i| i.op.writes_fp() || i.op.reads_fp());
         assert!(!has_fp, "compress is integer-only");
     }
