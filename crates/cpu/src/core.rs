@@ -241,6 +241,7 @@ impl<'p> FrontHalf<'p> {
             &mut Packer {
                 predictor: &mut self.predictor,
                 batch,
+                flags: 0,
             },
         );
     }
@@ -289,11 +290,13 @@ impl<'p> FrontHalf<'p> {
 struct Packer<'a> {
     predictor: &'a mut HybridPredictor,
     batch: &'a mut Vec<Event>,
+    /// The flags of the control transfer about to commit (0 otherwise).
+    flags: u8,
 }
 
 impl Sink for Packer<'_> {
     #[inline(always)]
-    fn control(&mut self, kind: Control, pc: u64, taken: bool, next_pc: u64) -> u8 {
+    fn control(&mut self, kind: Control, pc: u64, taken: bool, next_pc: u64) {
         let (correct, bubble_free) = match kind {
             Control::Conditional => {
                 let o = self.predictor.conditional(pc, taken, next_pc);
@@ -303,10 +306,10 @@ impl Sink for Packer<'_> {
             Control::Call => (true, self.predictor.call(pc, next_pc)),
             Control::Return => (self.predictor.ret(next_pc), true),
         };
-        CONTROL
+        self.flags = CONTROL
             | if taken { TAKEN } else { 0 }
             | if correct { CORRECT } else { 0 }
-            | if bubble_free { BUBBLE_FREE } else { 0 }
+            | if bubble_free { BUBBLE_FREE } else { 0 };
     }
 
     #[inline(always)]
@@ -315,7 +318,7 @@ impl Sink for Packer<'_> {
             pc: c.pc,
             mem_addr: c.mem_addr,
             template: c.template,
-            flags: c.control,
+            flags: std::mem::take(&mut self.flags),
         });
     }
 }

@@ -149,7 +149,6 @@ mod tests {
         b.branch(Op::Bne, 8, 0, top);
         b.halt();
         let p = Program::new("loop", 0x1000, b.finish(), 0x10_0000, 64, 0);
-        p.validate();
         let mut m = Machine::new(&p);
         m.run(100);
         assert_eq!(m.int_reg(9), 3);

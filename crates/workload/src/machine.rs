@@ -72,20 +72,15 @@ pub struct Commit {
     pub taken: bool,
     /// Address of the next committed instruction.
     pub next_pc: u64,
-    /// What [`Sink::control`] returned for a control transfer (0
-    /// otherwise).
-    pub control: u8,
 }
 
 /// What [`Machine::fill`] hands the committed stream to.
 pub trait Sink {
-    /// Hears of a control transfer of `kind` at `pc`, before it commits;
-    /// what it returns comes back as [`Commit::control`]. By default it
-    /// returns 0.
+    /// Hears of a control transfer of `kind` at `pc`, just before it
+    /// commits. By default it does nothing.
     #[inline]
-    fn control(&mut self, kind: Control, pc: u64, taken: bool, next_pc: u64) -> u8 {
+    fn control(&mut self, kind: Control, pc: u64, taken: bool, next_pc: u64) {
         let _ = (kind, pc, taken, next_pc);
-        0
     }
 
     /// Takes one committed instruction.
@@ -101,22 +96,12 @@ impl Sink for Discard {
 }
 
 /// A sink that keeps the one instruction of a [`Machine::step`].
-struct One<'p> {
-    program: &'p Program,
-    retired: Option<Retired>,
-}
+struct One(Option<Commit>);
 
-impl Sink for One<'_> {
+impl Sink for One {
+    #[inline]
     fn commit(&mut self, c: Commit) {
-        let class = c.template.class;
-        let is_mem = class == OpClass::Load as u8 || class == OpClass::Store as u8;
-        self.retired = Some(Retired {
-            pc: c.pc,
-            inst: self.program.inst_at(c.pc),
-            next_pc: c.next_pc,
-            taken: c.taken,
-            mem_addr: is_mem.then_some(c.mem_addr),
-        });
+        self.0 = Some(c);
     }
 }
 
@@ -260,7 +245,6 @@ impl<'p> Machine<'p> {
             let mut next = at + 1;
             let mut taken = false;
             let mut mem_addr = 0;
-            let mut control = 0;
             let target = |i: usize| base + i as u64 * INST_BYTES;
             macro_rules! branch {
                 ($taken:expr) => {{
@@ -268,7 +252,7 @@ impl<'p> Machine<'p> {
                     if taken {
                         next = d.arg as usize;
                     }
-                    control = sink.control(Control::Conditional, pc, taken, target(next));
+                    sink.control(Control::Conditional, pc, taken, target(next));
                 }};
             }
 
@@ -300,7 +284,7 @@ impl<'p> Machine<'p> {
                 Op::Jump => {
                     next = d.arg as usize;
                     taken = true;
-                    control = sink.control(Control::Jump, pc, taken, target(next));
+                    sink.control(Control::Jump, pc, taken, target(next));
                 }
                 Op::Call => {
                     assert!(
@@ -310,7 +294,7 @@ impl<'p> Machine<'p> {
                     self.call_stack.push(at + 1);
                     next = d.arg as usize;
                     taken = true;
-                    control = sink.control(Control::Call, pc, taken, target(next));
+                    sink.control(Control::Call, pc, taken, target(next));
                 }
                 Op::Ret => {
                     match self.call_stack.pop() {
@@ -323,7 +307,7 @@ impl<'p> Machine<'p> {
                             next = at;
                         }
                     }
-                    control = sink.control(Control::Return, pc, taken, target(next));
+                    sink.control(Control::Return, pc, taken, target(next));
                 }
                 Op::Nop => {}
                 Op::Halt => {
@@ -338,7 +322,6 @@ impl<'p> Machine<'p> {
                 mem_addr,
                 taken,
                 next_pc: target(next),
-                control,
             });
             self.at = next;
             done += 1;
@@ -353,12 +336,19 @@ impl<'p> Machine<'p> {
     ///
     /// As [`Self::fill`].
     pub fn step(&mut self) -> Option<Retired> {
-        let mut one = One {
-            program: self.program,
-            retired: None,
-        };
+        let at = self.at;
+        let mut one = One(None);
         self.fill(1, &mut one);
-        one.retired
+        let c = one.0?;
+        let class = c.template.class;
+        let is_mem = class == OpClass::Load as u8 || class == OpClass::Store as u8;
+        Some(Retired {
+            pc: c.pc,
+            inst: self.program.inst(at),
+            next_pc: c.next_pc,
+            taken: c.taken,
+            mem_addr: is_mem.then_some(c.mem_addr),
+        })
     }
 
     /// Runs up to `budget` instructions (or until halt).
@@ -530,27 +520,28 @@ mod tests {
             Inst::new(Op::FStore, 0, 8, 2, 16),
             Inst::new(Op::Ret, 0, 0, 0, 0),
         ]);
-        struct Keep(Vec<Commit>);
+        /// Each commit, with whether the control hook heard of it first.
+        struct Keep(Vec<(Commit, bool)>, bool);
         impl Sink for Keep {
-            fn control(&mut self, kind: Control, _: u64, _: bool, _: u64) -> u8 {
-                kind as u8 + 1
+            fn control(&mut self, _: Control, _: u64, _: bool, _: u64) {
+                self.1 = true;
             }
             fn commit(&mut self, c: Commit) {
-                self.0.push(c);
+                self.0.push((c, std::mem::take(&mut self.1)));
             }
         }
         let mut batched = Machine::new(&p);
-        let mut keep = Keep(Vec::new());
+        let mut keep = Keep(Vec::new(), false);
         assert_eq!(batched.fill(100, &mut keep), 21, "the halt commits");
         assert!(batched.is_halted());
         assert_eq!(batched.fill(100, &mut keep), 0);
         let mut stepped = Machine::new(&p);
-        for c in &keep.0 {
+        for (c, heard) in &keep.0 {
             let r = stepped.step().expect("not yet halted");
             assert_eq!((r.pc, r.next_pc, r.taken), (c.pc, c.next_pc, c.taken));
             assert_eq!(r.mem_addr.unwrap_or(0), c.mem_addr);
             assert_eq!(c.template, Template::of(&r.inst));
-            assert_eq!(c.control != 0, r.inst.op.is_control());
+            assert_eq!(*heard, r.inst.op.is_control());
         }
         assert!(stepped.step().is_none());
     }

@@ -1,6 +1,6 @@
 //! Programs: code images with a data segment description.
 
-use crate::isa::{Inst, Op, OpClass, Reg, Template, INST_BYTES, NO_DST, NUM_INT_REGS};
+use crate::isa::{Inst, Op, Reg, Template, INST_BYTES, NUM_INT_REGS};
 
 /// One instruction as a [`Program`] stores it: decoded once, when the
 /// program is built. It keeps the ISA fields and adds the instruction's
@@ -94,35 +94,20 @@ impl Program {
                     "instruction {i} ({:?}) names a register out of range",
                     inst.op
                 );
-                // Padding, most of a sparse layout, takes a short path
-                // (its template as `Template::of` gives it).
-                let (arg, template) = if inst.op == Op::Nop {
-                    let template = Template {
-                        class: OpClass::Other as u8,
-                        src1: inst.rs1,
-                        src2: inst.rs2,
-                        dst: NO_DST,
-                    };
-                    (inst.imm, template)
+                // Branch-free but for the assert, which never fires on a
+                // well-formed program: a decode pass sees every op kind.
+                let jumps = has_target(inst.op);
+                let offset = (inst.imm as u64).wrapping_sub(base_addr);
+                assert!(
+                    !jumps || (offset < code_end - base_addr && offset.is_multiple_of(INST_BYTES)),
+                    "instruction {i} ({:?}) targets {:#x} outside code",
+                    inst.op,
+                    inst.imm as u64
+                );
+                let arg = if jumps {
+                    (offset / INST_BYTES) as i64
                 } else {
-                    // Branch-free but for the assert, which never fires
-                    // on a well-formed program: a decode pass sees every
-                    // op kind.
-                    let jumps = has_target(inst.op);
-                    let offset = (inst.imm as u64).wrapping_sub(base_addr);
-                    assert!(
-                        !jumps
-                            || (offset < code_end - base_addr && offset.is_multiple_of(INST_BYTES)),
-                        "instruction {i} ({:?}) targets {:#x} outside code",
-                        inst.op,
-                        inst.imm as u64
-                    );
-                    let arg = if jumps {
-                        (offset / INST_BYTES) as i64
-                    } else {
-                        inst.imm
-                    };
-                    (arg, Template::of(&inst))
+                    inst.imm
                 };
                 Decoded {
                     arg,
@@ -130,7 +115,7 @@ impl Program {
                     rd: inst.rd,
                     rs1: inst.rs1,
                     rs2: inst.rs2,
-                    template,
+                    template: Template::of(&inst),
                 }
             })
             .collect();
@@ -164,7 +149,8 @@ impl Program {
         self.code.len()
     }
 
-    /// Whether the program is empty (never true for a validated program).
+    /// Whether the program is empty (never true: [`Program::new`] rejects
+    /// an empty one).
     pub fn is_empty(&self) -> bool {
         self.code.is_empty()
     }
@@ -239,26 +225,6 @@ impl Program {
     pub fn insts(&self) -> impl ExactSizeIterator<Item = Inst> + '_ {
         (0..self.code.len()).map(|i| self.inst(i))
     }
-
-    /// Counts the control-flow instructions with a static target. Each
-    /// target was checked when the program was built ([`Program::new`]
-    /// panics on one outside the code segment or off an instruction
-    /// boundary); this re-checks that every resolved index is in range.
-    pub fn validate(&self) -> usize {
-        let mut checked = 0;
-        for (i, d) in self.code.iter().enumerate() {
-            if has_target(d.op) {
-                assert!(
-                    usize::try_from(d.arg).is_ok_and(|t| t < self.code.len()),
-                    "instruction {i} ({:?}) targets index {} outside code",
-                    d.op,
-                    d.arg
-                );
-                checked += 1;
-            }
-        }
-        checked
-    }
 }
 
 #[cfg(test)]
@@ -288,11 +254,6 @@ mod tests {
         assert_eq!(p.code_bytes(), 8);
         assert_eq!(p.len(), 2);
         assert!(!p.is_empty());
-    }
-
-    #[test]
-    fn validate_accepts_in_range_targets() {
-        assert_eq!(tiny().validate(), 1);
     }
 
     #[test]
@@ -350,8 +311,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "outside code")]
-    fn validate_rejects_wild_jump() {
-        let p = Program::new(
+    fn decode_rejects_a_wild_jump() {
+        let _ = Program::new(
             "bad",
             0x1000,
             vec![Inst::new(Op::Jump, 0, 0, 0, 0x9999_0000)],
@@ -359,7 +320,6 @@ mod tests {
             64,
             0,
         );
-        p.validate();
     }
 
     #[test]

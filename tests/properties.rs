@@ -231,9 +231,8 @@ proptest! {
         let a = generate(&spec);
         let b = generate(&spec);
         prop_assert_eq!(a.program.insts().len(), b.program.insts().len());
-        // Programs validate (all targets in range) and never halt within a
-        // modest budget (the outer wrap).
-        a.program.validate();
+        // Programs build (`Program::new` checks every target) and never
+        // halt within a modest budget (the outer wrap).
         let mut m = Machine::new(&a.program);
         let s = m.run(20_000);
         prop_assert_eq!(s.retired, 20_000);
