@@ -20,7 +20,7 @@
 
 use std::process::ExitCode;
 
-use dri_experiments::config::{self, Config, PREFETCH_ENV, PUSH_ENV, STEAL_ENV};
+use dri_experiments::config::{self, Config, PUSH_ENV, STEAL_ENV};
 use dri_experiments::manifest::{self, Job, Manifest};
 use dri_experiments::report::Table;
 use dri_experiments::SimSession;
@@ -29,8 +29,8 @@ use dri_telemetry::Span;
 use synth_workload::suite::Benchmark;
 
 const USAGE: &str = "\
-usage: suite [--manifest FILE] [--store-stats] [--[no-]prefetch] [--[no-]push]
-             [--[no-]steal] [--list] [JOB ...]
+usage: suite [--manifest FILE] [--store-stats] [--[no-]push] [--[no-]steal]
+             [--list] [JOB ...]
        suite gc [--store DIR] [--max-bytes N[K|M|G]] [--max-age GENS] [--dry-run]
 
 Runs figure/table jobs in one process with shared simulation caches.
@@ -41,10 +41,6 @@ options:
   --manifest FILE   load the run plan (options + job list) from FILE
   --store-stats     print DRI_STORE result-store counters and disk usage
                     after the run
-  --prefetch        resolve each sweep's whole key grid through the cache
-                    tiers up front (one chunked POST /batch round-trip for
-                    the remote remainder); this is the default
-  --no-prefetch     restore per-point tier lookups
   --push            push locally simulated records to the DRI_SHARDS
                     fleet after each sweep (requires the servers to hold
                     the matching DRI_TOKEN); off by default
@@ -67,20 +63,19 @@ gc subcommand (garbage-collect a result store):
   --dry-run         report what would be evicted without deleting anything
 
 environment: DRI_QUICK, DRI_THREADS, DRI_STORE, DRI_SHARDS, DRI_REPLICAS,
-DRI_PREFETCH, DRI_PUSH, DRI_STEAL, DRI_WORKER, DRI_TOKEN, DRI_POLICY,
-DRI_BENCHMARKS, DRI_TRACE (see README). A malformed value warns and its
-default is used. A manifest's
-`quick/threads/store/shards/prefetch/push/steal/policy/benchmarks`
+DRI_PUSH, DRI_STEAL, DRI_WORKER, DRI_TOKEN, DRI_POLICY, DRI_BENCHMARKS,
+DRI_TRACE (see README). A malformed value warns and its default is used.
+A manifest's `quick/threads/store/shards/push/steal/policy/benchmarks`
 options override the same variables, strictly (a malformed value is an
-error), and the --[no-]prefetch/push/steal flags override both. The
+error), and the --[no-]push/steal flags override both. The
 token deliberately has no manifest spelling: a secret does not belong
 in a reviewable plan file.";
 
 struct CliArgs {
     manifest_path: Option<String>,
     store_stats: bool,
-    /// `(variable, value)` settings from the `--[no-]prefetch/push/steal`
-    /// flags, in order.
+    /// `(variable, value)` settings from the `--[no-]push/steal` flags,
+    /// in order.
     settings: Vec<(&'static str, &'static str)>,
     list: bool,
     jobs: Vec<Job>,
@@ -102,8 +97,6 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
                 parsed.manifest_path = Some(path.clone());
             }
             "--store-stats" => parsed.store_stats = true,
-            "--prefetch" => parsed.settings.push((PREFETCH_ENV, "on")),
-            "--no-prefetch" => parsed.settings.push((PREFETCH_ENV, "off")),
             "--push" => parsed.settings.push((PUSH_ENV, "on")),
             "--no-push" => parsed.settings.push((PUSH_ENV, "off")),
             "--steal" => parsed.settings.push((STEAL_ENV, "on")),

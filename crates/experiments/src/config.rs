@@ -11,7 +11,7 @@
 //!    and keeps the default;
 //! 2. a `suite` manifest ([`crate::manifest::parse`]) — a malformed
 //!    value is an error with its line number;
-//! 3. `suite`'s `--[no-]prefetch/push/steal` flags.
+//! 3. `suite`'s `--[no-]push/steal` flags.
 //!
 //! The process reads its settings through [`config`]: `suite` installs
 //! its layered value before first use ([`install`]); every other binary
@@ -26,9 +26,6 @@ use synth_workload::suite::Benchmark;
 /// Quick mode (*switch*, default off): reduced search grids and
 /// instruction budgets, for smoke-testing the harness.
 pub const QUICK_ENV: &str = "DRI_QUICK";
-/// Bulk grid prefetch through the session tiers (*switch*, default on;
-/// see [`crate::session::SimSession::prefetch`]).
-pub const PREFETCH_ENV: &str = "DRI_PREFETCH";
 /// Write-through push of simulated records to the fleet (*switch*,
 /// default off, or on under [`STEAL_ENV`]; see
 /// [`crate::session::SimSession::push_pending`]).
@@ -48,9 +45,8 @@ pub const POLICY_ENV: &str = "DRI_POLICY";
 pub const BENCHMARKS_ENV: &str = "DRI_BENCHMARKS";
 
 /// Every variable [`Config`] parses besides those of [`FleetConfig`].
-pub const VARS: [&str; 7] = [
+pub const VARS: [&str; 6] = [
     QUICK_ENV,
-    PREFETCH_ENV,
     PUSH_ENV,
     STEAL_ENV,
     WORKER_ENV,
@@ -65,8 +61,6 @@ pub struct Config {
     pub fleet: FleetConfig,
     /// [`QUICK_ENV`].
     pub quick: bool,
-    /// [`PREFETCH_ENV`].
-    pub prefetch: bool,
     /// [`PUSH_ENV`], `None` until some source sets it (see
     /// [`Config::push`]).
     pub push: Option<bool>,
@@ -89,7 +83,6 @@ impl Default for Config {
         Config {
             fleet: FleetConfig::default(),
             quick: false,
-            prefetch: true,
             push: None,
             steal: false,
             worker: format!("worker-{}", std::process::id()),
@@ -107,7 +100,6 @@ impl Config {
     pub fn set(&mut self, name: &str, value: &str) -> Result<(), String> {
         match name {
             QUICK_ENV => self.quick = switch(value)?,
-            PREFETCH_ENV => self.prefetch = switch(value)?,
             PUSH_ENV => self.push = Some(switch(value)?),
             STEAL_ENV => self.steal = switch(value)?,
             WORKER_ENV => self.worker = value.trim().to_owned(),
@@ -236,9 +228,8 @@ mod tests {
             ("2", None),
         ];
         type Field = fn(&Config) -> bool;
-        let switches: [(&str, Field); 4] = [
+        let switches: [(&str, Field); 3] = [
             (QUICK_ENV, |c| c.quick),
-            (PREFETCH_ENV, |c| c.prefetch),
             (PUSH_ENV, Config::push),
             (STEAL_ENV, |c| c.steal),
         ];
@@ -283,7 +274,7 @@ mod tests {
     #[test]
     fn defaults_and_the_steal_push_rule() {
         let config = Config::default();
-        assert!(!config.quick && config.prefetch && !config.push() && !config.steal);
+        assert!(!config.quick && !config.push() && !config.steal);
         assert_eq!(config.worker, format!("worker-{}", std::process::id()));
         assert_eq!(config.policy, None);
         assert_eq!(config.benchmarks, Benchmark::all());

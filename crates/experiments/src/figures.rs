@@ -10,12 +10,13 @@
 //! are now one-line wrappers over these functions, so `cargo run --bin
 //! figure4` output is byte-identical to the `figure4` job of a suite run.
 //!
-//! Every search and sweep grid below batch-prefetches its key plan
+//! Every campaign below batch-prefetches its cross-benchmark key grid
 //! through the session's cache tiers before fanning out (see
 //! [`crate::session::SimSession::prefetch`]): on a worker with
-//! `DRI_SHARDS` set, Figure 3's entire cross-benchmark grid arrives in
-//! one `POST /batch` round-trip, and Figures 4–6/§5.6 plan each sweep's
-//! points the same way.
+//! `DRI_SHARDS` set, Figure 3's entire grid arrives in one `POST /batch`
+//! round-trip, and Figures 4–6/§5.6 plan each sweep's points the same
+//! way. The per-benchmark grids inside then walk the tiers once more and
+//! find those records in memory.
 //!
 //! Every simulating suite covers the `benchmarks` it is given, in that
 //! order: the binaries pass [`crate::config::Config::benchmarks`], and a
@@ -51,11 +52,10 @@ fn tuned(mut base: crate::RunConfig) -> crate::RunConfig {
 
 /// Batch-prefetches everything a Figure 4–6/§5.6 sweep campaign (or the
 /// policy shoot-out) will touch, before the per-benchmark fan-out
-/// starts. Until this hook existed, only figure3's `search_all` planned
-/// its whole campaign in one pass — the sweep figures prefetched per
-/// benchmark, costing a cold worker one batch round-trip per benchmark
-/// instead of one per campaign (and a `--steal` worker one per claimed
-/// unit per sweep).
+/// starts. Without it each benchmark's sweep would walk its own grid,
+/// costing a cold worker one batch round-trip per benchmark instead of
+/// one per campaign (and a `--steal` worker one per claimed unit per
+/// sweep).
 ///
 /// Two phases, because the sweep points are only known once the search
 /// is resolved:
@@ -68,17 +68,11 @@ fn tuned(mut base: crate::RunConfig) -> crate::RunConfig {
 /// 2. the tuned bases are computed (pure replay after phase 1 when the
 ///    store is warm) and every sweep point around them — enumerated by
 ///    `points`, e.g. [`miss_bound_grid`] — is planned as one more pass.
-///
-/// A no-op when prefetch is disabled (`DRI_PREFETCH=0`): the per-point
-/// lookups inside the sweeps then behave exactly as before.
 fn prefetch_sweep_campaign(
     benchmarks: &[Benchmark],
     base: impl Fn(Benchmark) -> crate::RunConfig + Sync,
     points: impl Fn(&crate::RunConfig) -> Vec<crate::RunConfig> + Sync,
 ) {
-    if !crate::config::config().prefetch {
-        return;
-    }
     let search_grid: Vec<crate::RunConfig> = benchmarks
         .iter()
         .flat_map(|&b| grid_configs(&base(b), &space()))

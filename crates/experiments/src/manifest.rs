@@ -28,7 +28,6 @@
 //!   | `threads` | `DRI_THREADS` | a positive integer |
 //!   | `store` | `DRI_STORE` | a directory path |
 //!   | `shards` | `DRI_SHARDS` | `host:port` addresses, comma-separated |
-//!   | `prefetch` | `DRI_PREFETCH` | on/off (bulk grid prefetch; on by default) |
 //!   | `push` | `DRI_PUSH` | on/off (push simulated records to the fleet; the server must hold the matching `DRI_TOKEN`) |
 //!   | `steal` | `DRI_STEAL` | on/off (claim benchmark-sized units from the server's lease queue; requires `shards`) |
 //!   | `policy` | `DRI_POLICY` | `dri`, `decay`, `way_resize` or `way_memo` |
@@ -56,9 +55,7 @@ use std::fmt;
 
 use synth_workload::suite::Benchmark;
 
-use crate::config::{
-    Config, BENCHMARKS_ENV, POLICY_ENV, PREFETCH_ENV, PUSH_ENV, QUICK_ENV, STEAL_ENV,
-};
+use crate::config::{Config, BENCHMARKS_ENV, POLICY_ENV, PUSH_ENV, QUICK_ENV, STEAL_ENV};
 use crate::figures;
 use dri_serve::config::{SHARDS_ENV, STORE_ENV, THREADS_ENV};
 
@@ -170,12 +167,11 @@ impl fmt::Display for Job {
 }
 
 /// Each manifest option key and the variable it sets.
-const OPTIONS: [(&str, &str); 9] = [
+const OPTIONS: [(&str, &str); 8] = [
     ("quick", QUICK_ENV),
     ("threads", THREADS_ENV),
     ("store", STORE_ENV),
     ("shards", SHARDS_ENV),
-    ("prefetch", PREFETCH_ENV),
     ("push", PUSH_ENV),
     ("steal", STEAL_ENV),
     ("policy", POLICY_ENV),
@@ -239,14 +235,14 @@ fn err(line: usize, message: impl Into<String>) -> ManifestError {
 /// let plan = parse(
 ///     "# campaign plan\n\
 ///      quick = on\n\
-///      prefetch = off         # per-point tier lookups\n\
+///      push = on              # share simulated records\n\
 ///      \n\
 ///      figure3\n\
 ///      figure4\n",
 ///     &mut config,
 /// )
 /// .expect("well-formed manifest");
-/// assert!(config.quick && !config.prefetch);
+/// assert!(config.quick && config.push());
 /// assert_eq!(plan.jobs, vec![Job::Figure3, Job::Figure4]);
 ///
 /// // Errors carry 1-based line numbers: a typo fails in seconds, not
@@ -323,7 +319,7 @@ mod tests {
     fn every_option_sets_its_variable_with_the_same_grammar() {
         let (manifest, m) = parsed(
             "# campaign\nquick = on\nthreads = 4\nstore = /tmp/s\nshards = h:1\n\
-             prefetch = off\npush = on\nsteal = on\npolicy = decay # sweep\n\
+             push = on\nsteal = on\npolicy = decay # sweep\n\
              benchmarks = li, gcc ,li\n\nfigure3 # search\nfigure4\n",
         )
         .expect("valid manifest");
@@ -332,7 +328,6 @@ mod tests {
             (THREADS_ENV, "4"),
             (STORE_ENV, "/tmp/s"),
             (SHARDS_ENV, "h:1"),
-            (PREFETCH_ENV, "off"),
             (PUSH_ENV, "on"),
             (STEAL_ENV, "on"),
             (POLICY_ENV, "decay"),
@@ -360,7 +355,7 @@ mod tests {
 
     #[test]
     fn malformed_values_are_errors_with_their_line() {
-        for key in ["quick", "prefetch", "push", "steal"] {
+        for key in ["quick", "push", "steal"] {
             assert!(
                 parsed(&format!("{key} = maybe\nfigure3\n")).is_err(),
                 "{key}"

@@ -60,7 +60,7 @@ pub struct SearchResult {
 /// The full (miss-bound × size-bound) grid for one benchmark as run
 /// configurations, in the canonical search order (size-bounds outer,
 /// miss-bounds inner; bounds over the cache size skipped). This is both
-/// what [`search_benchmark`] simulates and what the batch-prefetch pass
+/// what [`search_benchmark`] resolves and what the batch-prefetch pass
 /// ([`crate::session::SimSession::prefetch`]) enumerates up front.
 pub fn grid_configs(base: &RunConfig, space: &SearchSpace) -> Vec<RunConfig> {
     let mut cfgs: Vec<RunConfig> = Vec::new();
@@ -81,8 +81,9 @@ pub fn grid_configs(base: &RunConfig, space: &SearchSpace) -> Vec<RunConfig> {
 /// Exhaustively searches the grid for one benchmark against a single
 /// shared baseline run. `base` supplies everything but the two searched
 /// parameters. The baseline and every point resolve through
-/// [`crate::session::SimSession::resolve_grid`]: cached records come from
-/// the tiers, and the misses simulate in lockstep groups that interpret
+/// [`crate::session::SimSession::resolve_grid`]'s one tier walk: cached
+/// records come from memory, disk, or one batch exchange with the remote
+/// tier, and the misses simulate in lockstep groups that interpret
 /// the benchmark's stream once per group, spread over
 /// [`crate::harness::parallel_map`]'s workers.
 ///
@@ -131,7 +132,7 @@ pub fn search_benchmark(base: &RunConfig, space: &SearchSpace) -> SearchResult {
 /// before the fan-out, so a cold worker pointed at a warm `dri-serve`
 /// instance resolves the whole campaign — every benchmark's baseline and
 /// every (miss-bound × size-bound) point — in **one** batch round-trip,
-/// not one per benchmark (the per-benchmark prefetch inside
+/// not one per benchmark (the per-benchmark tier walk inside
 /// [`search_benchmark`] then finds everything memory-resident and stays
 /// off the network). Inside this fan-out each benchmark's misses form
 /// one lockstep group, unfanned, since the enclosing map already holds

@@ -34,19 +34,23 @@
 //! concurrent lookups of one point fall back to at most one redundant
 //! simulation per race, and typically none.
 //!
-//! ## Grid resolution
+//! ## The tier walk
 //!
+//! Every record takes one path, a private tier walk over a job list:
+//! the jobs are deduplicated, probed in memory, swept on disk once, and
+//! what is left is fetched from the remote tier in one batch exchange.
 //! Searches and sweeps resolve a whole grid at once through
 //! [`SimSession::resolve_grid`]; [`SimSession::conventional`] and
-//! [`SimSession::policy_run`] resolve a grid of one record. All three
-//! go through one private resolver: each distinct record is looked up
-//! through the tiers once, and the misses that share a committed stream
-//! simulate in lockstep groups — the stream is interpreted and predicted
-//! once per group, and records whose i-caches answer alike share one
-//! timing state until their first disagreement. Every tier step (memory
-//! key, store kind and key, decode, encode, stats counter) is written
-//! once for both record kinds, so the tiers cannot tell a baseline from
-//! a policy run, or a point-by-point walk from a grid.
+//! [`SimSession::policy_run`] walk a grid of one record, whose remote
+//! lookup is a one-entry batch. A resolving walk then simulates the
+//! misses that share a committed stream in lockstep groups — the stream
+//! is interpreted and predicted once per group, and records whose
+//! i-caches answer alike share one timing state until their first
+//! disagreement. [`SimSession::prefetch`] is the same walk without the
+//! simulation. Every tier step (memory key, store kind and key, decode,
+//! encode, stats counter) is written once for both record kinds, so the
+//! tiers cannot tell a baseline from a policy run, or a point-by-point
+//! walk from a grid.
 //!
 //! ## The disk tier
 //!
@@ -78,21 +82,18 @@
 //!
 //! ## Batch prefetch
 //!
-//! Sweeps and manifest-driven suites know their full configuration grid
-//! before they run a point, so [`SimSession::prefetch`] resolves the
-//! whole grid through the tiers **in bulk** before the per-point fan-out
-//! starts: the grid's store keys are enumerated into a deduplicated
-//! [`dri_store::KeyPlan`], records already in memory are skipped, the
-//! local disk tier is swept once, and everything still missing is
-//! fetched from the remote tier in a single chunked `POST /batch`
-//! round-trip (healed into the local store on arrival). Only true misses
-//! are left for the grid's lockstep groups to simulate. The pass
-//! is purely a cache-warming step — every record it installs is the same
-//! validated, bit-identical record the per-point lookup path would have
-//! loaded — and it is on by default; `DRI_PREFETCH=0` (or `suite
-//! --no-prefetch` / a manifest's `prefetch = off`) restores per-point
-//! lookups. See `tests/batch_prefetch.rs` for the round-trip and
-//! bit-identity proofs.
+//! Campaigns know their full configuration grid before they run a
+//! point, so [`SimSession::prefetch`] walks the whole cross-benchmark
+//! grid through the tiers **in bulk** before the per-benchmark fan-out
+//! starts: a cold worker gets every stored record in one chunked
+//! `POST /batch` (healed into the local store on arrival), and the
+//! fan-out's own walks then find them in memory. Only true misses are
+//! left for the grid's lockstep groups to simulate. A key a successful
+//! exchange reported missing is remembered, so the walks that follow
+//! never ask for it again. The pass only warms the cache — every record
+//! it installs is the same validated, bit-identical record a resolving
+//! walk would have loaded. See `tests/batch_prefetch.rs` for the
+//! round-trip and bit-identity proofs.
 //!
 //! ## Write-through push
 //!
@@ -113,11 +114,11 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dri_serve::{BatchEntry, PushOutcome, RemoteStats, ShardedStore};
-use dri_store::{KeyPlan, ResultStore, StoreStats};
-use dri_telemetry::{trace, Histogram, Span, TraceEvent};
+use dri_store::{ResultStore, StoreStats};
+use dri_telemetry::{trace, Histogram, TraceEvent};
 
 use cache_sim::config::CacheConfig;
 use cache_sim::hierarchy::HierarchyConfig;
@@ -283,15 +284,11 @@ impl SessionStats {
     }
 }
 
-/// Bulk-prefetches `cfgs` through the **global** session's tiers when
-/// prefetch is enabled — the hook a campaign calls before its
-/// per-benchmark fan-out ([`SimSession::resolve_grid`] runs the same pass
-/// for its own grid). Returns the per-plan outcome (`None` when prefetch
-/// is disabled).
+/// Bulk-prefetches `cfgs` through the **global** session's tiers — the
+/// hook a campaign calls before its per-benchmark fan-out. Returns the
+/// plan's outcome, always `Some`.
 pub fn prefetch_grid(cfgs: &[RunConfig]) -> Option<PrefetchStats> {
-    config()
-        .prefetch
-        .then(|| SimSession::global().prefetch(cfgs))
+    Some(SimSession::global().prefetch(cfgs))
 }
 
 /// Pushes the **global** session's pending simulated records upward when
@@ -335,9 +332,9 @@ pub struct PrefetchStats {
     /// Records enumerated, summed over plans. Each plan dedups
     /// internally (a parameter search reuses one baseline across its
     /// whole grid, so a plan holds well under two records per grid
-    /// point), but a record re-planned by a nested grid — a
-    /// per-benchmark search inside an already-prefetched campaign —
-    /// counts once per plan (it shows up again as a memory hit).
+    /// point), but a record re-planned by a later prefetch — figure 4's
+    /// campaign re-plans figure 3's search grid — counts once per plan
+    /// (it shows up again as a memory hit).
     pub planned: u64,
     /// Planned records already resident in the memory tier.
     pub memory_hits: u64,
@@ -354,11 +351,12 @@ pub struct PrefetchStats {
     pub batch_round_trips: u64,
 }
 
-/// Per-tier lookup-resolution latency: each histogram holds the
-/// wall-times of the [`SimSession::conventional`]/
-/// [`SimSession::policy_run`]/[`SimSession::resolve_grid`] lookups
-/// *answered by that tier* — so `memory` is the warm-path cost, `disk`
-/// the load+decode cost, and `remote` the round-trip cost. Only
+/// Per-tier lookup-resolution latency: each histogram holds one sample
+/// per record *answered by that tier* — so `memory` is the warm-path
+/// cost, `disk` the load+decode cost, and `remote` each record's equal
+/// share of its batch exchange's wall time (a single lookup's share is
+/// the whole round-trip). Prefetched records count too; a prefetch's
+/// memory hits do not, since it answers nothing. Only
 /// populated on a **timed** session (tracing on at construction, or
 /// [`SessionBuilder::timed`]): the warm memory path runs in hundreds of
 /// nanoseconds, where even two clock reads are visible, so untimed
@@ -418,8 +416,8 @@ pub struct SimSession {
     prefetch_totals: Mutex<PrefetchStats>,
     /// Store keys a successful remote exchange has definitively answered
     /// with a miss frame: the serving store does not hold them, so
-    /// re-asking — from a nested grid's prefetch or from the per-point
-    /// lookup that precedes a simulation — is pure wasted traffic. Never
+    /// re-asking — from a nested grid's walk or from the per-point walk
+    /// that precedes a simulation — is pure wasted traffic. Never
     /// consulted for anything but skipping the remote tier; the disk and
     /// memory tiers still see every lookup.
     known_missing: Mutex<HashSet<u128>>,
@@ -637,136 +635,26 @@ impl SimSession {
         report
     }
 
-    /// Resolves the whole configuration grid through the cache tiers in
-    /// bulk, before any per-point lookup runs (see the module docs):
+    /// Resolves a whole configuration grid through the cache tiers ahead
+    /// of the fan-out that reads it: the tier walk ([`Self::walk`]) over
+    /// every point's baseline and policy record, without its last step.
+    /// Disk and remote arrivals are installed in the memory tier (and
+    /// counted in [`SessionStats`]), so the fan-out finds them there;
+    /// records no tier holds are left for it to simulate. The pass never
+    /// simulates, and an empty or fully memory-warm plan touches neither
+    /// the disk nor the network.
     ///
-    /// 1. every grid point's baseline and DRI store keys are enumerated
-    ///    into one deduplicated [`KeyPlan`];
-    /// 2. records already in the memory tier are skipped;
-    /// 3. the local disk tier is swept for the remainder;
-    /// 4. what is still missing is fetched from the remote tier in one
-    ///    chunked `POST /batch` pass, each arrival healed into the local
-    ///    disk tier;
-    /// 5. true misses are left for the caller's fan-out to simulate —
-    ///    and the ones a successful exchange *definitively* reported
-    ///    absent are remembered, so nested plans and the per-point
-    ///    lookups that precede those simulations never re-ask the
-    ///    server for records it is known not to hold.
-    ///
-    /// Disk and remote arrivals are installed into the memory tier and
-    /// counted in [`SessionStats`] exactly as per-point lookups would
-    /// have counted them, so a prefetched grid replays with the same
-    /// observable tier accounting — just fewer round-trips. The pass
-    /// never simulates; an empty (or fully memory-warm) plan touches
-    /// neither the disk nor the network.
+    /// Traced as one `kind:"prefetch"` span covering the whole plan; its
+    /// labels carry the per-tier split, so a trace alone reconstructs the
+    /// pass without the stderr summary.
     pub fn prefetch(&self, cfgs: &[RunConfig]) -> PrefetchStats {
+        let trace_start = trace::enabled().then(|| (trace::now_us(), Instant::now()));
         let jobs: Vec<Job<'_>> = cfgs
             .iter()
             .map(Job::Baseline)
             .chain(cfgs.iter().map(Job::Policy))
             .collect();
-        self.prefetch_jobs(&jobs)
-    }
-
-    /// [`Self::prefetch`] over an explicit record list (what
-    /// [`Self::resolve_grid`] is about to resolve). The batch request
-    /// lists the records in `jobs` order.
-    fn prefetch_jobs(&self, jobs: &[Job<'_>]) -> PrefetchStats {
-        // Traced as one `kind:"prefetch"` span covering the whole plan;
-        // the outcome labels carry the per-tier split so a trace alone
-        // reconstructs the bulk pass without the stderr summary.
-        let trace_start = trace::enabled().then(|| (trace::now_us(), Instant::now()));
-        let mut report = PrefetchStats {
-            plans: 1,
-            ..PrefetchStats::default()
-        };
-
-        // 1–2. Enumerate the deduplicated key grid, skipping records the
-        // memory tier already holds. The map lock is held only for the
-        // membership probes, never across I/O.
-        let mut plan = KeyPlan::new();
-        let mut pending: Vec<(u128, Job<'_>)> = Vec::new();
-        {
-            let records = self.records.lock().expect("record lock");
-            for &job in jobs {
-                let store_key = job.store_key();
-                if plan.push(job.kind(), SCHEMA_VERSION, store_key) {
-                    report.planned += 1;
-                    if records.contains_key(&job.memory_key()) {
-                        report.memory_hits += 1;
-                    } else {
-                        pending.push((store_key, job));
-                    }
-                }
-            }
-        }
-
-        // 3. One pass over the local disk tier.
-        if self.store.is_some() {
-            pending.retain(|&(store_key, job)| match self.disk(job, store_key) {
-                Some(record) => {
-                    self.install(job, record, "disk");
-                    report.disk_hits += 1;
-                    false
-                }
-                None => true,
-            });
-        }
-
-        // Records a prior exchange definitively reported missing from
-        // the serving store go straight to the simulate bucket — a
-        // nested grid (a per-benchmark search inside an already-planned
-        // campaign) must not re-ask for guaranteed misses.
-        {
-            let missing = self.known_missing.lock().expect("known-missing lock");
-            if !missing.is_empty() {
-                pending.retain(|(store_key, _)| {
-                    let skip = missing.contains(store_key);
-                    report.misses += u64::from(skip);
-                    !skip
-                });
-            }
-        }
-
-        // 4. One chunked batch fetch for everything still missing.
-        match (&self.remote, pending.len()) {
-            (Some(remote), 1..) => {
-                let entries: Vec<(&str, u32, u128)> = pending
-                    .iter()
-                    .map(|&(store_key, job)| (job.kind(), SCHEMA_VERSION, store_key))
-                    .collect();
-                let (outcomes, round_trips) =
-                    remote.fetch_batch_outcomes(&entries, dri_serve::BATCH_CHUNK);
-                report.batch_round_trips = round_trips;
-                let mut outcomes = outcomes.into_iter();
-                let mut definitive_misses: Vec<u128> = Vec::new();
-                for (store_key, job) in pending {
-                    match outcomes.next() {
-                        Some(BatchEntry::Hit(payload)) => match job.decode(&payload) {
-                            Some(record) => {
-                                self.save(job.kind(), store_key, &payload);
-                                self.install(job, record, "remote");
-                                report.remote_hits += 1;
-                            }
-                            None => report.misses += 1,
-                        },
-                        Some(BatchEntry::Miss) => {
-                            definitive_misses.push(store_key);
-                            report.misses += 1;
-                        }
-                        _ => report.misses += 1,
-                    }
-                }
-                if !definitive_misses.is_empty() {
-                    self.known_missing
-                        .lock()
-                        .expect("known-missing lock")
-                        .extend(definitive_misses);
-                }
-            }
-            // 5. No remote tier (or nothing left): the rest simulates.
-            (_, remainder) => report.misses += remainder as u64,
-        }
+        let report = self.walk(&jobs, None);
 
         let mut totals = self.prefetch_totals.lock().expect("prefetch totals lock");
         totals.plans += report.plans;
@@ -817,72 +705,54 @@ impl SimSession {
         )
     }
 
-    /// The memoized baseline run for `cfg`: memory, then disk, then the
-    /// remote service, then a fresh simulation (whose result is
-    /// published to the local tiers). On a timed session the resolution
-    /// is wall-clocked into [`Self::tier_latency`] (bucketed by the tier
-    /// that answered) and emitted as a `kind:"tier"` trace span; the
-    /// resolution itself — and therefore every counter in the result —
-    /// is identical either way.
+    /// The memoized baseline run for `cfg`: a walk of one record through
+    /// memory, disk, the remote service and a fresh simulation (whose
+    /// result is published to the local tiers). On a timed session the
+    /// answer is wall-clocked into [`Self::tier_latency`] (bucketed by
+    /// the tier that answered) and emitted as a `kind:"tier"` trace span;
+    /// the resolution itself — and therefore every counter in the
+    /// result — is identical either way.
     pub fn conventional(&self, cfg: &RunConfig) -> ConventionalRun {
         self.resolve_one(Job::Baseline(cfg)).baseline()
     }
 
     /// The memoized leakage-policy run for `cfg` (DRI unless
-    /// [`RunConfig::policy`] selects another model): memory, then disk,
-    /// then the remote service, then a fresh simulation (whose result is
-    /// published to the local tiers). Timed exactly like
-    /// [`Self::conventional`]; the trace span is named after the policy
-    /// kind, so a trace distinguishes the models at a glance.
+    /// [`RunConfig::policy`] selects another model), resolved and timed
+    /// exactly like [`Self::conventional`]; the trace span is named after
+    /// the policy kind, so a trace distinguishes the models at a glance.
     pub fn policy_run(&self, cfg: &RunConfig) -> DriRun {
         self.resolve_one(Job::Policy(cfg)).policy()
     }
 
     /// Resolves a whole grid: the baseline records of `baselines` and
-    /// the policy records of `points`, returned in request order.
+    /// the policy records of `points`, returned in request order, through
+    /// one tier walk ([`Self::walk`]).
     ///
-    /// 1. With prefetch on, the records are planned and bulk-fetched
-    ///    through the tiers first ([`Self::prefetch`]).
-    /// 2. Every record is looked up through memory → disk → remote,
-    ///    exactly as [`Self::conventional`]/[`Self::policy_run`] look it
-    ///    up (a repeated record is looked up once; its repeats are
-    ///    memory hits afterwards, as they would be point by point).
-    /// 3. The misses are grouped by what the front half reads
-    ///    (benchmark, seed override, instruction budget), one group per
-    ///    stream, and each group is simulated in lockstep: one
-    ///    interpretation of the stream feeds the group's *timing
-    ///    classes*. A class is the records whose i-caches have answered
-    ///    every access alike so far; it shares one timing state and
-    ///    splits at its first disagreeing access. The records start in
-    ///    classes by CPU, hierarchy, i-cache block size and hit latency.
-    ///    The groups run across [`crate::harness::parallel_map`]; when
-    ///    there are fewer groups than granted workers, each group also
-    ///    gets a share of the leftover grant and spreads its classes
-    ///    over that many threads, still interpreting the stream once.
-    /// 4. Each simulated record is published as a single point's miss
-    ///    is, by the same code: one `baseline_misses`/`dri_misses`, a
-    ///    disk save, a push buffer entry, and a first-wins memory
-    ///    install. Each timing state run counts one
-    ///    [`SessionStats::timing_runs`].
-    /// 5. With push mode on, whatever was simulated is pushed upward.
+    /// The misses are grouped by what the front half reads (benchmark,
+    /// seed override, instruction budget), one group per stream, and each
+    /// group is simulated in lockstep: one interpretation of the stream
+    /// feeds the group's *timing classes*. A class is the records whose
+    /// i-caches have answered every access alike so far; it shares one
+    /// timing state and splits at its first disagreeing access. The
+    /// records start in classes by CPU, hierarchy, i-cache block size and
+    /// hit latency. The groups run across
+    /// [`crate::harness::parallel_map`]; when there are fewer groups than
+    /// granted workers, each group also gets a share of the leftover grant
+    /// and spreads its classes over that many threads, still interpreting
+    /// the stream once. Each timing state run counts one
+    /// [`SessionStats::timing_runs`]. With push mode on, whatever was
+    /// simulated is pushed upward afterwards.
     ///
     /// A record depends only on its own configuration and the stream,
-    /// so the results do not depend on how the misses were grouped. On a
-    /// timed session every lookup is traced as [`Self::conventional`]
-    /// traces it, and every simulated record gets one `tier` span with
-    /// outcome `simulate` whose duration is its group's wall time
-    /// divided by the group's size.
+    /// so the results do not depend on how the misses were grouped.
     pub fn resolve_grid(&self, baselines: &[RunConfig], points: &[RunConfig]) -> GridRuns {
         let jobs: Vec<Job<'_>> = baselines
             .iter()
             .map(Job::Baseline)
             .chain(points.iter().map(Job::Policy))
             .collect();
-        if config().prefetch {
-            self.prefetch_jobs(&jobs);
-        }
         let mut records = vec![None; jobs.len()];
-        self.resolve(&jobs, |i, record| records[i] = Some(record));
+        self.walk(&jobs, Some(&mut |i, record| records[i] = Some(record)));
         let mut records = records
             .into_iter()
             .map(|record| record.expect("every job resolves"));
@@ -900,138 +770,237 @@ impl SimSession {
         grid
     }
 
-    /// [`Self::resolve`] for one record.
+    /// [`Self::walk`] for one record, resolved.
     fn resolve_one(&self, job: Job<'_>) -> Record {
         let mut answer = None;
-        self.resolve(&[job], |_, record| answer = Some(record));
+        self.walk(&[job], Some(&mut |_, record| answer = Some(record)));
         answer.expect("a simulation always answers")
     }
 
-    /// The one record path: calls `answer(i, record)` once for each
-    /// `jobs[i]`.
+    /// The tier walk, the one path every record takes. With `answer`, it
+    /// resolves: it calls `answer(i, record)` once for each `jobs[i]`.
+    /// Without, it only warms the tiers ([`Self::prefetch`]).
     ///
-    /// 1. The first occurrence of each distinct record is looked up
-    ///    through memory → disk → remote ([`Self::lookup`]).
-    /// 2. The misses simulate in lockstep groups, one per stream
-    ///    ([`Self::simulate_jobs`]), and each is published
-    ///    ([`Self::publish`]) and traced in job order.
-    /// 3. Repeats are looked up last, so they hit memory.
-    fn resolve(&self, jobs: &[Job<'_>], mut answer: impl FnMut(usize, Record)) {
+    /// 1. The jobs are deduplicated on their memory key. A single job
+    ///    cannot repeat, so a single record that hits memory allocates
+    ///    nothing.
+    /// 2. Each distinct record is probed in memory.
+    /// 3. The disk tier is swept once for the rest ([`Self::fetch`]).
+    /// 4. Keys a successful exchange already reported missing are not
+    ///    asked for again.
+    /// 5. The remaining records go to the remote tier in one
+    ///    [`ShardedStore::fetch_batch_outcomes`] call, listed in job
+    ///    order; a single record is a one-entry batch.
+    /// 6. Only when resolving, what no tier holds simulates in lockstep
+    ///    groups ([`Self::simulate_jobs`]) and each record is published
+    ///    ([`Self::publish`]). Repeats are answered last, from memory.
+    ///
+    /// Each record a tier answers counts once in [`SessionStats`], at
+    /// that tier; a repeat counts as a memory hit, as it would point by
+    /// point. A prefetch counts its memory hits only in its report: it
+    /// answers nothing. On a timed session every answer is observed
+    /// ([`Self::observe`]): a memory or disk answer on its own clock, a
+    /// remote answer as an equal share of its exchange's wall time, a
+    /// simulated record as an equal share of its group's.
+    fn walk(
+        &self,
+        jobs: &[Job<'_>],
+        mut answer: Option<&mut dyn FnMut(usize, Record)>,
+    ) -> PrefetchStats {
+        let resolving = answer.is_some();
+        let mut report = PrefetchStats {
+            plans: 1,
+            ..PrefetchStats::default()
+        };
+        // Sized up front: growing rehashes every key, and a memory key
+        // hashes slowly.
         let mut seen: HashSet<RecordKey> = HashSet::new();
+        if jobs.len() > 1 {
+            seen.reserve(jobs.len());
+        }
         let (mut misses, mut repeats): (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
         for (i, &job) in jobs.iter().enumerate() {
-            // One job cannot repeat: the warm single-record path skips
-            // the set, and with it every allocation.
-            if jobs.len() > 1 && !seen.insert(job.memory_key()) {
+            let key = job.memory_key();
+            if jobs.len() > 1 && !seen.insert(key) {
                 repeats.push(i);
                 continue;
             }
-            match self.timed(job, || self.lookup(job)) {
-                Some(record) => answer(i, record),
+            report.planned += 1;
+            match self.memory(job, &key, resolving) {
+                Some(record) => {
+                    report.memory_hits += 1;
+                    if let Some(answer) = answer.as_mut() {
+                        answer(i, record);
+                    }
+                }
                 None => misses.push(i),
             }
         }
-        if !misses.is_empty() {
-            let missed: Vec<Job<'_>> = misses.iter().map(|&i| jobs[i]).collect();
-            for (i, simulated) in misses.into_iter().zip(self.simulate_jobs(&missed)) {
+        let (arrived, rest) = self.fetch(jobs, misses, &mut report);
+        report.misses = rest.len() as u64;
+        let Some(answer) = answer else {
+            return report;
+        };
+        for (i, record) in arrived {
+            answer(i, record);
+        }
+        if !rest.is_empty() {
+            let missed: Vec<Job<'_>> = rest.iter().map(|&i| jobs[i]).collect();
+            for (i, simulated) in rest.into_iter().zip(self.simulate_jobs(&missed)) {
                 let job = jobs[i];
                 answer(i, self.publish(job, simulated.record));
                 if self.timed {
-                    self.tier_latency.simulate.record_duration(simulated.share);
-                    let mut event = TraceEvent::new("tier", job.span_name())
-                        .outcome("simulate")
-                        .label("benchmark", job.cfg().benchmark.name());
-                    event.ts_us = simulated.ts_us;
-                    event.dur_us =
-                        Some(u64::try_from(simulated.share.as_micros()).unwrap_or(u64::MAX));
-                    event.emit();
+                    self.observe(job, "simulate", simulated.ts_us, simulated.share);
                 }
             }
         }
         for i in repeats {
             let job = jobs[i];
-            let record = self.timed(job, || self.lookup(job));
+            let record = self.memory(job, &job.memory_key(), true);
             answer(
                 i,
                 record.expect("a repeat follows its first occurrence into memory"),
             );
         }
+        report
     }
 
-    /// Runs one lookup; on a timed session, wall-clocks it into
-    /// [`Self::tier_latency`] and traces it as a `kind:"tier"` span
-    /// labelled with the tier that answered. A lookup that misses
-    /// records nothing (its simulation is timed on its own).
-    fn timed(
-        &self,
-        job: Job<'_>,
-        lookup: impl FnOnce() -> Option<(Record, &'static str)>,
-    ) -> Option<Record> {
-        if !self.timed {
-            return lookup().map(|(record, _)| record);
-        }
-        let span =
-            Span::begin("tier", job.span_name()).label("benchmark", job.cfg().benchmark.name());
-        let (record, tier) = lookup()?;
-        let elapsed = span.finish(tier);
-        self.tier_latency.of(tier).record_duration(elapsed);
-        Some(record)
-    }
-
-    /// The tiers short of simulating: memory, disk, then remote. Names
-    /// the tier that answered.
-    fn lookup(&self, job: Job<'_>) -> Option<(Record, &'static str)> {
-        let found = self
+    /// Step 2 of [`Self::walk`]: the memory tier's copy of `job`'s record.
+    /// When resolving, a hit is counted and, on a timed session,
+    /// observed.
+    fn memory(&self, job: Job<'_>, key: &RecordKey, resolving: bool) -> Option<Record> {
+        let clock = (self.timed && resolving).then(Clock::start);
+        let record = self
             .records
             .lock()
             .expect("record lock")
-            .get(&job.memory_key())
-            .copied();
-        if let Some(record) = found {
+            .get(key)
+            .copied()?;
+        if resolving {
             self.count(job, "memory");
-            return Some((record, "memory"));
+            if let Some(clock) = clock {
+                self.observe(job, "memory", clock.ts_us, clock.started.elapsed());
+            }
         }
-        let store_key = job.store_key();
-        let (record, tier) = match self.disk(job, store_key) {
-            Some(record) => (record, "disk"),
-            None => (self.remote_fetch(job, store_key)?, "remote"),
-        };
-        Some((self.install(job, record, tier), tier))
-    }
-
-    /// Loads a record from the disk tier, or `None` on a miss or a
-    /// rejected (corrupt / truncated / wrong-schema) entry.
-    fn disk(&self, job: Job<'_>, store_key: u128) -> Option<Record> {
-        self.store
-            .as_ref()?
-            .load_decoded(job.kind(), SCHEMA_VERSION, store_key, |payload| {
-                job.decode(payload)
-            })
-    }
-
-    /// Fetches a record from the remote tier and heals it into the local
-    /// disk tier (when one is attached): the record then never crosses
-    /// the wire again from this machine. The payload arrived end-to-end
-    /// validated (checksummed record, checked by the client); `decode`
-    /// still bounds-checks every field, so a layout mismatch degrades to
-    /// `None` → a local simulation, like any other miss.
-    fn remote_fetch(&self, job: Job<'_>, store_key: u128) -> Option<Record> {
-        let remote = self.remote.as_ref()?;
-        // A prior batch exchange definitively established the record is
-        // absent from the serving store: skip straight to simulation
-        // rather than re-asking per point.
-        if self
-            .known_missing
-            .lock()
-            .expect("known-missing lock")
-            .contains(&store_key)
-        {
-            return None;
-        }
-        let payload = remote.fetch(job.kind(), SCHEMA_VERSION, store_key)?;
-        let record = job.decode(&payload)?;
-        self.save(job.kind(), store_key, &payload);
         Some(record)
+    }
+
+    /// Steps 3–5 of [`Self::walk`] for the records memory missed: one
+    /// disk pass, then one remote exchange. Every arrival is installed
+    /// in memory, counted, and observed on a timed session. Returns the
+    /// arrivals, and the records no tier holds in job order.
+    fn fetch(
+        &self,
+        jobs: &[Job<'_>],
+        misses: Vec<usize>,
+        report: &mut PrefetchStats,
+    ) -> (Vec<(usize, Record)>, Vec<usize>) {
+        let mut arrived = Vec::new();
+        if misses.is_empty() || (self.store.is_none() && self.remote.is_none()) {
+            return (arrived, misses);
+        }
+        let mut pending: Vec<(usize, u128)> = misses
+            .into_iter()
+            .map(|i| (i, jobs[i].store_key()))
+            .collect();
+
+        // 3. One pass over the local disk tier.
+        if let Some(store) = &self.store {
+            pending.retain(|&(i, store_key)| {
+                let (job, clock) = (jobs[i], self.timed.then(Clock::start));
+                let Some(record) =
+                    store.load_decoded(job.kind(), SCHEMA_VERSION, store_key, |p| job.decode(p))
+                else {
+                    return true;
+                };
+                arrived.push((i, self.install(job, record, "disk")));
+                if let Some(clock) = clock {
+                    self.observe(job, "disk", clock.ts_us, clock.started.elapsed());
+                }
+                false
+            });
+            report.disk_hits = arrived.len() as u64;
+        }
+        let Some(remote) = &self.remote else {
+            return (arrived, pending.into_iter().map(|(i, _)| i).collect());
+        };
+
+        // 4. Keys a successful exchange already answered with a miss
+        // frame are not in the serving store: asking again is wasted
+        // traffic.
+        let (ask, mut rest): (Vec<_>, Vec<_>) = {
+            let missing = self.known_missing.lock().expect("known-missing lock");
+            pending
+                .into_iter()
+                .partition(|(_, store_key)| !missing.contains(store_key))
+        };
+
+        // 5. One exchange for the rest. Each arrival heals into the disk
+        // tier, so it crosses the wire at most once per worker; the
+        // payload arrived validated end to end, and `decode` still
+        // bounds-checks every field, so a layout mismatch degrades to a
+        // miss.
+        if !ask.is_empty() {
+            let entries: Vec<(&str, u32, u128)> = ask
+                .iter()
+                .map(|&(i, store_key)| (jobs[i].kind(), SCHEMA_VERSION, store_key))
+                .collect();
+            let clock = self.timed.then(Clock::start);
+            let (outcomes, round_trips) =
+                remote.fetch_batch_outcomes(&entries, dri_serve::BATCH_CHUNK);
+            report.batch_round_trips = round_trips;
+            let mut hits: Vec<(usize, Record)> = Vec::new();
+            let mut definitive_misses: Vec<u128> = Vec::new();
+            for ((i, store_key), outcome) in ask.into_iter().zip(outcomes) {
+                let job = jobs[i];
+                let record = match outcome {
+                    BatchEntry::Hit(payload) => job.decode(&payload).inspect(|_| {
+                        self.save(job.kind(), store_key, &payload);
+                    }),
+                    BatchEntry::Miss => {
+                        definitive_misses.push(store_key);
+                        None
+                    }
+                    BatchEntry::Failed => None,
+                };
+                match record {
+                    Some(record) => hits.push((i, record)),
+                    None => rest.push((i, store_key)),
+                }
+            }
+            if !definitive_misses.is_empty() {
+                self.known_missing
+                    .lock()
+                    .expect("known-missing lock")
+                    .extend(definitive_misses);
+            }
+            let share = clock.map(|c| (c.ts_us, c.started.elapsed() / hits.len().max(1) as u32));
+            report.remote_hits = hits.len() as u64;
+            for (i, record) in hits {
+                let job = jobs[i];
+                arrived.push((i, self.install(job, record, "remote")));
+                if let Some((ts_us, share)) = share {
+                    self.observe(job, "remote", ts_us, share);
+                }
+            }
+            rest.sort_unstable_by_key(|&(i, _)| i);
+        }
+        (arrived, rest.into_iter().map(|(i, _)| i).collect())
+    }
+
+    /// Records one timed answer of `tier` for `job`: a sample in
+    /// [`Self::tier_latency`] and, when tracing, a `kind:"tier"` span
+    /// that began at `ts_us` and lasted `elapsed`.
+    fn observe(&self, job: Job<'_>, tier: &str, ts_us: u64, elapsed: Duration) {
+        self.tier_latency.of(tier).record_duration(elapsed);
+        if trace::enabled() {
+            let mut event = TraceEvent::new("tier", job.span_name())
+                .outcome(tier)
+                .label("benchmark", job.cfg().benchmark.name());
+            event.ts_us = ts_us;
+            event.dur_us = Some(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
+            event.emit();
+        }
     }
 
     /// Writes a payload to the local disk tier, when one is attached: a
@@ -1152,11 +1121,27 @@ fn worker_shares(widths: &[usize], grant: usize) -> Vec<usize> {
     shares
 }
 
+/// When one timed tier step began: its trace timestamp and its clock.
+#[derive(Clone, Copy)]
+struct Clock {
+    ts_us: u64,
+    started: Instant,
+}
+
+impl Clock {
+    fn start() -> Clock {
+        Clock {
+            ts_us: trace::now_us(),
+            started: Instant::now(),
+        }
+    }
+}
+
 /// One record a lockstep group simulated, with its share of the group's
 /// wall time (for the timed path).
 struct Simulated {
     record: Record,
-    share: std::time::Duration,
+    share: Duration,
     ts_us: u64,
 }
 

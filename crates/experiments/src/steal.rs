@@ -14,8 +14,9 @@
 //! Crash-safety comes from the tier system, not from the scheduler:
 //! simulations are deterministic, so a reclaimed unit re-executes
 //! bit-identically, and whatever the dead worker already pushed is
-//! served straight back to the reclaimer by the prefetch tier — re-won
-//! work costs a batch round-trip, not a simulation.
+//! served straight back to the reclaimer by the remote tier in the
+//! unit's batch prefetch — re-won work costs a batch round-trip, not a
+//! simulation.
 //!
 //! While a unit runs, a heartbeat thread renews the lease at a third of
 //! the granted TTL, so a live worker is never mistaken for a dead one

@@ -14,8 +14,8 @@ use dri_core::DriConfig;
 
 /// Resolves `base`'s baseline and the DRI side of every config as one
 /// grid, and compares each point against that shared baseline. The grid
-/// is batch-prefetched through the session tiers first and — with push
-/// mode on — whatever it had to simulate is pushed upward afterwards.
+/// walks the session tiers in one batch and — with push mode on —
+/// whatever it had to simulate is pushed upward afterwards.
 fn compare_points(base: &RunConfig, cfgs: &[RunConfig]) -> Vec<Comparison> {
     compare_variants(std::slice::from_ref(base), |_| cfgs.to_vec())
         .pop()

@@ -60,7 +60,7 @@ fn usage(source: &str) -> &str {
 #[test]
 fn readme_table_lists_exactly_the_parsed_variables() {
     assert_eq!(readme_table(), parsed());
-    assert_eq!(parsed().len(), 15);
+    assert_eq!(parsed().len(), 14);
 }
 
 #[test]

@@ -107,10 +107,19 @@ fn cold_disk_less_worker_warm_starts_from_the_wire() {
             server.addr().to_string(),
         )))
         .build();
-    let baseline = worker.conventional(&cfg);
+    // A cold point lookup is a one-entry batch: one remote hit, no
+    // simulation, and exactly one exchange, a `POST /batch`.
     let dri = worker.policy_run(&cfg);
-    assert_conventional_identical(&ref_baseline, &baseline, "remote baseline");
     assert_dri_identical(&ref_dri, &dri, "remote dri");
+    let stats = worker.stats();
+    assert_eq!((stats.dri_remote_hits, stats.simulations()), (1, 0));
+    let remote = worker.remote_stats().expect("remote attached");
+    assert_eq!(remote.requests, 1, "one exchange");
+    assert_eq!(remote.batch_round_trips, 1, "the exchange is a batch");
+    assert_eq!(server.stats().batch_requests, 1);
+
+    let baseline = worker.conventional(&cfg);
+    assert_conventional_identical(&ref_baseline, &baseline, "remote baseline");
 
     let stats = worker.stats();
     assert_eq!(stats.simulations(), 0, "nothing simulated locally");

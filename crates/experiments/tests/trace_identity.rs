@@ -2,7 +2,8 @@
 //! also switches lookup timing on), memoized results stay bit-identical
 //! to fresh uncached runs, and every line the session writes to the
 //! trace file parses back under the strict schema with the tier spans
-//! the run actually exercised.
+//! the run actually exercised — one per record, including each record a
+//! batch exchange with a server answered.
 //!
 //! One `#[test]` on purpose: `DRI_TRACE` is resolved once per process
 //! (the sink is a `OnceLock`), so the whole scenario — set the
@@ -10,9 +11,12 @@
 
 use std::collections::HashSet;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use dri_experiments::runner::{run_conventional_uncached, run_policy_uncached};
-use dri_experiments::{RunConfig, SimSession};
+use dri_experiments::search::{grid_configs, SearchSpace};
+use dri_experiments::{RemoteStore, ResultStore, RunConfig, ShardedStore, SimSession};
+use dri_serve::Server;
 use dri_telemetry::{trace, TraceEvent};
 use synth_workload::suite::Benchmark;
 
@@ -90,5 +94,62 @@ fn tracing_never_perturbs_results_and_emits_parsable_tier_spans() {
     assert!(outcomes.contains("simulate"), "{outcomes:?}");
     assert!(outcomes.contains("memory"), "{outcomes:?}");
 
+    // A traced grid replay over a server: the grid's seven records
+    // arrive in one exchange, each gets its own `remote` tier span, and
+    // they match the untimed writer's records bit for bit.
+    let central =
+        std::env::temp_dir().join(format!("dri-trace-identity-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&central);
+    let points = grid_configs(&cfg, &SearchSpace::quick());
+    let writer = SimSession::builder()
+        .store(ResultStore::open(&central).expect("open store"))
+        .timed(false)
+        .build();
+    let written = writer.resolve_grid(std::slice::from_ref(&cfg), &points);
+    let server = Server::bind(
+        Arc::new(ResultStore::open(&central).expect("reopen store")),
+        "127.0.0.1:0",
+        2,
+    )
+    .expect("bind server");
+    let replayer = SimSession::builder()
+        .sharded(ShardedStore::single(RemoteStore::new(
+            server.addr().to_string(),
+        )))
+        .build();
+    let replayed = replayer.resolve_grid(std::slice::from_ref(&cfg), &points);
+    server.shutdown();
+    assert_eq!(replayer.stats().simulations(), 0);
+    assert_eq!(
+        replayer.stats().remote_hits(),
+        7,
+        "one baseline + six points"
+    );
+    assert_eq!(
+        replayer.remote_stats().expect("remote").batch_round_trips,
+        1
+    );
+    assert_eq!(replayer.tier_latency().remote.count(), 7);
+    let (a, b) = (&written.baselines[0], &replayed.baselines[0]);
+    assert_eq!((a.timing, a.icache), (b.timing, b.icache), "baseline");
+    assert_eq!(a.bpred_accuracy.to_bits(), b.bpred_accuracy.to_bits());
+    for (a, b) in written.points.iter().zip(&replayed.points) {
+        assert_eq!((a.timing, a.icache), (b.timing, b.icache), "point");
+        assert_eq!(a.dri.resizes, b.dri.resizes);
+        assert_eq!(
+            a.dri.avg_size_bytes.to_bits(),
+            b.dri.avg_size_bytes.to_bits()
+        );
+        assert_eq!(a.bpred_accuracy.to_bits(), b.bpred_accuracy.to_bits());
+    }
+    let remote_spans = std::fs::read_to_string(&trace_path)
+        .expect("trace file exists")
+        .lines()
+        .map(|line| TraceEvent::parse(line).expect("parsable trace line"))
+        .filter(|e| e.kind == "tier" && e.outcome.as_deref() == Some("remote"))
+        .count();
+    assert_eq!(remote_spans, 7, "one remote span per record");
+
+    let _ = std::fs::remove_dir_all(&central);
     let _ = std::fs::remove_file(&trace_path);
 }

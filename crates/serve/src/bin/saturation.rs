@@ -303,9 +303,10 @@ fn main() -> ExitCode {
             let keys = &key_grid;
             let (elapsed_ns, records_per_s) =
                 measure(&fleet.addrs, connections, args.ops, |client, index| {
+                    // One owner per key: the primary's GET is the read.
                     let key = keys[index % keys.len()];
                     assert!(
-                        client.fetch(KIND, SCHEMA, key).is_some(),
+                        client.primary_for(key).fetch(KIND, SCHEMA, key).is_some(),
                         "warm fetch of {key:x} missed"
                     );
                 });

@@ -137,16 +137,6 @@ impl ShardedStore {
         &self.shards[self.ring.primary(key)]
     }
 
-    /// Fetches one record, walking `key`'s owners in failover order
-    /// until a shard yields a validated payload. `None` when every
-    /// owner missed or failed — the caller falls through to simulation.
-    pub fn fetch(&self, kind: &str, schema: u32, key: u128) -> Option<Vec<u8>> {
-        self.ring
-            .owner_indices(key)
-            .into_iter()
-            .find_map(|idx| self.shards[idx].fetch(kind, schema, key))
-    }
-
     /// Pushes one record to **all** of `key`'s owners, merging the
     /// per-owner outcomes ([`PushOutcome::Accepted`] beats
     /// [`PushOutcome::Rejected`] beats [`PushOutcome::Failed`]) — a

@@ -208,7 +208,10 @@ fn direct_shard_clients_share_the_token() {
     assert!(fleet.has_token());
     let record = frame_record(SCHEMA, 99, &payload(99));
     assert_eq!(fleet.push(KIND, SCHEMA, 99, &record), PushOutcome::Accepted);
-    assert_eq!(fleet.fetch(KIND, SCHEMA, 99), Some(payload(99)));
+    assert_eq!(
+        fleet.fetch_batch(&[(KIND, SCHEMA, 99)]),
+        [Some(payload(99))]
+    );
 
     // The wrong token is rejected per shard, mirroring RemoteStore.
     let imposter = ShardedStore::new(
